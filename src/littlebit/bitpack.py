@@ -4,38 +4,23 @@ A :class:`BinaryFactor` packs each row of a sign matrix into 64-bit words,
 LSB-first, bit=1 encoding +1 and bit=0 encoding -1; pad bits beyond the
 logical column count are zero.
 
-Two kernel backends implement the same contract:
-
-* ``compiled`` - the Cython extension ``littlebit._kernels`` streaming the
-  packed words directly (the fast path).
-* ``fallback`` - pure NumPy, multiplying against a lazily-unpacked dense
-  +/-1 float64 matrix cached on the factor.
-
-The backend is selected once at import: the extension when it is built,
-otherwise the fallback. Set ``LITTLEBIT_FORCE_FALLBACK=1`` to force the
-NumPy path (used by the backend-comparison benchmark and tests).
+The GEMVs are NumPy BLAS products against a dense +/-1 float64 copy of the
+factor, unpacked on first use and cached on the factor. The cache costs
+64x the packed words (8 bytes per sign instead of 1 bit) and lives as
+long as the factor does.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from . import _kernels as _ext
-except ImportError:
-    _ext = None
-
-if os.environ.get("LITTLEBIT_FORCE_FALLBACK") == "1":
-    _ext = None
 
 WORD_BITS = 64
 
 
 def kernel_backend() -> str:
-    """Name of the active GEMV backend: 'compiled' or 'fallback'."""
-    return "compiled" if _ext is not None else "fallback"
+    """Name of the GEMV backend. There is one, the NumPy sign-cache path,
+    reported as 'fallback'."""
+    return "fallback"
 
 
 def words_per_row(cols: int) -> int:
@@ -68,7 +53,8 @@ class BinaryFactor:
         return (self.rows, self.cols)
 
     def dense(self) -> np.ndarray:
-        """Unpacked +/-1 float64 view, cached (backs the fallback kernels)."""
+        """Unpacked +/-1 float64 view, cached on the factor; the GEMVs
+        multiply against it. It takes 64x the memory of the packed words."""
         if self._dense is None:
             self._dense = unpack(self)
             self._dense.setflags(write=False)
@@ -111,37 +97,9 @@ def _check_vec(v, length: int, name: str) -> np.ndarray:
 
 def gemv_right(x, f: BinaryFactor) -> np.ndarray:
     """y_j = sum_i x_i * sign_ij; x has length f.rows, y has length f.cols."""
-    x = _check_vec(x, f.rows, "x")
-    if _ext is not None:
-        return _ext.gemv_right(x, f.words, f.cols)
-    return _gemv_right_py(x, f)
+    return _check_vec(x, f.rows, "x") @ f.dense()
 
 
 def gemv_left(z, f: BinaryFactor) -> np.ndarray:
     """y_i = sum_j z_j * sign_ij; z has length f.cols, y has length f.rows."""
-    z = _check_vec(z, f.cols, "z")
-    if _ext is not None:
-        return _ext.gemv_left(z, f.words, f.cols)
-    return _gemv_left_py(z, f)
-
-
-def _gemv_right_py(x: np.ndarray, f: BinaryFactor) -> np.ndarray:
-    return x @ f.dense()
-
-
-def _gemv_left_py(z: np.ndarray, f: BinaryFactor) -> np.ndarray:
-    return f.dense() @ z
-
-
-def compiled_kernels():
-    """(gemv_right, gemv_left) raw compiled entry points, or None if the
-    extension is not built. Used by the backend-comparison benchmark."""
-    if _ext is None:
-        return None
-    return (lambda x, f: _ext.gemv_right(np.ascontiguousarray(x, np.float64), f.words, f.cols),
-            lambda z, f: _ext.gemv_left(np.ascontiguousarray(z, np.float64), f.words, f.cols))
-
-
-def fallback_kernels():
-    """(gemv_right, gemv_left) pure-NumPy entry points (always available)."""
-    return _gemv_right_py, _gemv_left_py
+    return f.dense() @ _check_vec(z, f.cols, "z")

@@ -4,15 +4,11 @@ Exit codes: 0 success, 1 usage error, 2 data error (bad files, shape
 mismatches, infeasible targets), 3 numeric failure (training divergence).
 All file outputs are written to a temp file and atomically renamed, so a
 failed or interrupted command never leaves a partial artifact behind.
-
-The environment variable LITTLEBIT_THREADS caps internal parallelism
-(default: hardware concurrency).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -40,17 +36,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_text(path, text: str) -> None:
     atomic_write(path, text.encode("utf-8"))
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("LITTLEBIT_THREADS")
-    if not cap:
-        return None
-    try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=int(cap))
-    except (ImportError, ValueError):
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +132,7 @@ def cmd_train(args) -> int:
 
 def cmd_bench(args) -> int:
     d_out, d_in, ranks = experiments.BENCH_PRESETS[args.preset]
-    result = experiments.gemv_bench(d_out, d_in, ranks, repeats=args.repeats,
-                                    include_fallback=not args.no_fallback)
+    result = experiments.gemv_bench(d_out, d_in, ranks, repeats=args.repeats)
     _write_text(args.out, result.to_csv())
     print(f"bench written: {args.out}")
     for row in result.rows:
@@ -232,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--preset", choices=sorted(experiments.BENCH_PRESETS),
                     required=True)
     sb.add_argument("--repeats", type=int, default=30)
-    sb.add_argument("--no-fallback", action="store_true",
-                    help="skip the pure-NumPy kernel backend")
     sb.add_argument("--out", required=True)
     sb.set_defaults(func=cmd_bench)
 
@@ -253,7 +235,6 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     if getattr(args, "command", None) == "sweep" and args.seed is None:
         args.seed = _SWEEP_SEEDS[args.experiment]
-    limit = _apply_thread_cap()
     try:
         return args.func(args)
     except DivergenceError as e:
@@ -263,9 +244,6 @@ def main(argv=None) -> int:
             PermissionError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
-    finally:
-        if limit is not None:
-            limit.unregister()
 
 
 if __name__ == "__main__":

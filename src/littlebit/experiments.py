@@ -213,10 +213,9 @@ def _random_factor(rng, rows: int, cols: int) -> bitpack.BinaryFactor:
 
 
 def gemv_bench(d_out: int, d_in: int, ranks: Sequence[int],
-               repeats: int = 30, warmup: int = 5, seed: int = 0,
-               include_fallback: bool = True) -> BenchResult:
+               repeats: int = 30, warmup: int = 5, seed: int = 0) -> BenchResult:
     """Time the primary-path packed forward against a dense float32 GEMV
-    reference at each latent rank, for every available kernel backend."""
+    reference at each latent rank."""
     rng = seeded_rng(seed)
     x = rng.standard_normal(d_in)
     g = np.abs(rng.standard_normal(d_in)) + 0.1
@@ -230,22 +229,16 @@ def gemv_bench(d_out: int, d_in: int, ranks: Sequence[int],
         del w32
         rows.append((d_out, d_in, "dense-f32", 0, dense_ns, repeats, 1.0))
 
-        backends = []
-        if bitpack.kernel_backend() == "compiled":
-            backends.append(("packed-compiled", bitpack.compiled_kernels()))
-        if include_fallback or not backends:
-            backends.append(("packed-fallback", bitpack.fallback_kernels()))
-
         for r in ranks:
             vf = _random_factor(rng, d_in, r)
             uf = _random_factor(rng, d_out, r)
             ell = np.abs(rng.standard_normal(r)) + 0.1
-            for name, (k_right, k_left) in backends:
-                def fwd():
-                    t = k_right(x * g, vf)
-                    return k_left(t * ell, uf) * h
-                rows.append((d_out, d_in, name, r,
-                             _median_ns(fwd, repeats, warmup), repeats, 0.0))
+
+            def fwd():
+                t = bitpack.gemv_right(x * g, vf)
+                return bitpack.gemv_left(t * ell, uf) * h
+            rows.append((d_out, d_in, "packed-fallback", r,
+                         _median_ns(fwd, repeats, warmup), repeats, 0.0))
             del vf, uf
 
     final = []

@@ -174,8 +174,25 @@ def _path_bytes(p: QuantPath, scale_dtype) -> bytes:
     return b"".join(chunks)
 
 
+def _check_fp16_range(layer: LittleBitLayer) -> None:
+    fp16_max = float(np.finfo(np.float16).max)
+    for name, p in zip(("primary", "residual"), layer.paths()):
+        for vec, v in (("h", p.h), ("g", p.g), ("ell", p.ell)):
+            largest = float(np.max(np.abs(v), initial=0.0))
+            if largest > fp16_max:
+                raise ValueError(
+                    f"{name} path scale {vec} has |value| {largest:g} above "
+                    f"the fp16 maximum {fp16_max:g}; save with float32 scales")
+
+
 def save_lbq(layer: LittleBitLayer, path, fp16_scales: bool = False) -> None:
-    """Serialize a layer to an LBQ file (atomic write)."""
+    """Serialize a layer to an LBQ file (atomic write).
+
+    With *fp16_scales*, raises ValueError before writing anything if a
+    scale is too large to store as a finite fp16 value.
+    """
+    if fp16_scales:
+        _check_fp16_range(layer)
     flags = 0
     if layer.residual is not None:
         flags |= _FLAG_RESIDUAL

@@ -168,7 +168,8 @@ class QuantPlan:
 def plan_model(spec: ModelSpec, target_b: float, residual: bool = True,
                gqa_kv_multiplier: float = DEFAULT_GQA_KV_MULTIPLIER) -> QuantPlan:
     """Choose a latent rank per layer for *target_b*, boosting key/value
-    projection ranks by *gqa_kv_multiplier* (rounded to nearest)."""
+    projection ranks by *gqa_kv_multiplier* (rounded to nearest). Every
+    rank is clamped to min(d_out, d_in), the largest one quantize accepts."""
     if gqa_kv_multiplier < 1:
         raise ValueError("gqa_kv_multiplier must be >= 1")
     plans: list[LayerPlan] = []
@@ -181,6 +182,7 @@ def plan_model(spec: ModelSpec, target_b: float, residual: bool = True,
             continue
         if l.kind in KV_KINDS:
             r = max(1, _round_half_up(r * gqa_kv_multiplier))
+        r = min(r, l.d_out, l.d_in)
         plans.append(LayerPlan(name=l.name, d_out=l.d_out, d_in=l.d_in,
                                kind=l.kind, count=l.count, rank=r,
                                achieved_b=bpw_for_rank(l.d_out, l.d_in, r, residual)))

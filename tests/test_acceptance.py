@@ -174,10 +174,8 @@ def test_11_latency_trend():
     with criterion(11, "packed forward: latency decreasing in rank, "
                        ">=1.5x vs dense float32 at rank 320"):
         ranks = (3072, 1664, 896, 320)
-        res = experiments.gemv_bench(4096, 11008, ranks, repeats=30,
-                                     include_fallback=False)
-        backend = ("packed-compiled" if bitpack.kernel_backend() == "compiled"
-                   else "packed-fallback")
+        res = experiments.gemv_bench(4096, 11008, ranks, repeats=30)
+        backend = "packed-fallback"
         medians = {row[3]: row[4] for row in res.rows if row[2] == backend}
         times = [medians[r] for r in ranks]
         assert all(a > b for a, b in zip(times, times[1:])), times

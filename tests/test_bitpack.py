@@ -117,18 +117,3 @@ class TestGemv:
 class TestBackends:
     def test_backend_reported(self):
         assert bitpack.kernel_backend() in ("compiled", "fallback")
-
-    def test_compiled_matches_fallback(self, rng):
-        kernels = bitpack.compiled_kernels()
-        if kernels is None:
-            pytest.skip("compiled extension not built")
-        k_right, k_left = kernels
-        f_right, f_left = bitpack.fallback_kernels()
-        for _ in range(20):
-            rows = int(rng.integers(1, 120))
-            cols = int(rng.integers(1, 150))
-            f = bitpack.pack(random_signs(rng, rows, cols))
-            x = rng.standard_normal(rows)
-            z = rng.standard_normal(cols)
-            assert np.max(np.abs(k_right(x, f) - f_right(x, f))) < 1e-10
-            assert np.max(np.abs(k_left(z, f) - f_left(z, f))) < 1e-10

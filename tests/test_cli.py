@@ -101,6 +101,15 @@ class TestQuantize:
         assert np.array_equal(lay.primary.h,
                               lay.primary.h.astype(np.float16).astype(np.float64))
 
+    def test_fp16_scale_overflow_exit_2_no_output(self, rng, tmp_path, capsys):
+        ref = tmp_path / "w.lbm"
+        tensor.save_matrix(rng.standard_normal((32, 32)) * 1e14, ref)
+        out = tmp_path / "w.lbq"
+        assert run(["quantize", "--in", str(ref), "--rank", "3",
+                    "--fp16-scales", "--out", str(out)]) == 2
+        assert "fp16" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_quantize_eval_consistency(self, teacher_files, tmp_path):
@@ -225,7 +234,7 @@ class TestUsageAndAtomicity:
     def test_bench_preset_shapes(self, tmp_path):
         out = tmp_path / "b.csv"
         assert run(["bench", "--preset", "llama7b-mlp", "--repeats", "3",
-                    "--no-fallback", "--out", str(out)]) == 0
+                    "--out", str(out)]) == 0
         text = out.read_text()
         for r in (3072, 1664, 896, 320):
             assert f",{r}," in text

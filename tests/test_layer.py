@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,18 @@ class TestLbqFormat:
         loaded = layer.load_lbq(p)
         assert np.array_equal(loaded.primary.h,
                               lay.primary.h.astype(np.float16).astype(np.float64))
+
+    def test_fp16_overflow_rejected_before_write(self, rng, tmp_path):
+        lay = random_layer(rng, 10, 12, 3, residual=True)
+        lay.residual.h[4] = 1e5
+        p = tmp_path / "big.lbq"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="residual path scale h"):
+                layer.save_lbq(lay, p, fp16_scales=True)
+        assert not p.exists()
+        layer.save_lbq(lay, p)
+        assert layer.load_lbq(p).residual.h[4] == 1e5
 
     def test_bad_magic(self, rng, tmp_path):
         p = tmp_path / "bad.lbq"

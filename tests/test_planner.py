@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,17 @@ class TestPlanModel:
         plan1 = planner.plan_model(spec, 0.1, gqa_kv_multiplier=1.0)
         plan8 = planner.plan_model(spec, 0.1, gqa_kv_multiplier=8.0)
         assert plan1.weighted_bpw < plan.weighted_bpw < plan8.weighted_bpw
+
+    def test_gqa_rank_clamped_to_shape(self):
+        spec = planner.load_model_spec(os.path.join(
+            os.path.dirname(__file__), "..", "model_specs", "llama3_8b.txt"))
+        plan = planner.plan_model(spec, 1.0)
+        for lp in plan.layers:
+            assert lp.rank <= min(lp.d_out, lp.d_in), lp
+            assert lp.achieved_b == planner.bpw_for_rank(
+                lp.d_out, lp.d_in, lp.rank, plan.residual)
+        by_name = {lp.name: lp for lp in plan.layers}
+        assert by_name["attn_k"].rank == by_name["attn_v"].rank == 1024
 
     def test_single_layer_square(self):
         spec = planner.parse_model_spec("layer only 4096 4096 other 1")
