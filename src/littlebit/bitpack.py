@@ -60,8 +60,11 @@ class BinaryFactor:
             self._dense.setflags(write=False)
         return self._dense
 
-    def transpose(self) -> "BinaryFactor":
-        return pack(self.dense().T)
+
+def sign(a: np.ndarray) -> np.ndarray:
+    """Elementwise +/-1 float64 sign with sign(0) -> +1 (-0.0 included), so
+    every real matrix maps to one that :func:`pack` accepts."""
+    return np.where(a >= 0, 1.0, -1.0)
 
 
 def pack(signs) -> BinaryFactor:

@@ -141,13 +141,15 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+# --experiment choices; each sweep's own default seed applies without --seed
+_SWEEPS = {"lemma1": experiments.error_vs_rank_sweep,
+          "theorem1": experiments.two_stage_probe,
+          "residual": experiments.residual_ablation}
+
+
 def cmd_sweep(args) -> int:
-    if args.experiment == "lemma1":
-        res = experiments.error_vs_rank_sweep(seed=args.seed)
-    elif args.experiment == "theorem1":
-        res = experiments.two_stage_probe(seed=args.seed)
-    else:
-        res = experiments.residual_ablation(seed=args.seed)
+    seed = {} if args.seed is None else {"seed": args.seed}
+    res = _SWEEPS[args.experiment](**seed)
     _write_text(args.out, res.to_csv())
     print(f"sweep '{args.experiment}' written: {args.out} "
           f"({len(res.rows)} rows, seed {res.seed})")
@@ -157,9 +159,6 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-_SWEEP_SEEDS = {"lemma1": 7, "theorem1": 123, "residual": 5}
-
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="littlebit",
@@ -220,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     sb.set_defaults(func=cmd_bench)
 
     sw = sub.add_parser("sweep", help="run a recorded experiment sweep")
-    sw.add_argument("--experiment", choices=sorted(_SWEEP_SEEDS), required=True)
+    sw.add_argument("--experiment", choices=sorted(_SWEEPS), required=True)
     sw.add_argument("--seed", type=int, default=None)
     sw.add_argument("--out", required=True)
     sw.set_defaults(func=cmd_sweep)
@@ -233,8 +232,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if getattr(args, "command", None) == "sweep" and args.seed is None:
-        args.seed = _SWEEP_SEEDS[args.experiment]
     try:
         return args.func(args)
     except DivergenceError as e:

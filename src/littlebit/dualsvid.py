@@ -46,11 +46,6 @@ def split_factors(svd: SvdResult) -> tuple[np.ndarray, np.ndarray]:
     return svd.u * root, svd.v * root
 
 
-def _sign(a: np.ndarray) -> np.ndarray:
-    # sign(0) maps to +1 so packing stays total
-    return np.where(a >= 0, 1.0, -1.0)
-
-
 def init_path(w, r: int) -> tuple[QuantPath, InitReport]:
     """Initialize one scaled-binary path of rank *r* from a dense matrix."""
     w = as_matrix(w, "w")
@@ -65,8 +60,8 @@ def init_path(w, r: int) -> tuple[QuantPath, InitReport]:
     u_fit = rank1_nonneg(np.abs(uprime))
     v_fit = rank1_nonneg(np.abs(vprime))
     path = QuantPath(
-        u_sign=bitpack.pack(_sign(uprime)),
-        v_sign=bitpack.pack(_sign(vprime)),
+        u_sign=bitpack.pack(bitpack.sign(uprime)),
+        v_sign=bitpack.pack(bitpack.sign(vprime)),
         h=u_fit.left,
         g=v_fit.left,
         ell=u_fit.right * v_fit.right,
@@ -116,13 +111,13 @@ def quantize(w, r_primary: int, residual: bool = True,
 
     w_norm = float(np.linalg.norm(w))
     err_primary = prim_report.frob_err_primary
-    w_res = w - path_effective_weight(primary)
-    if np.linalg.norm(w_res) < ZERO_RESIDUAL_RTOL * w_norm:
+    if err_primary < ZERO_RESIDUAL_RTOL * w_norm:
         res_path = _zero_residual_path(d_out, d_in, r_residual)
         err_total = err_primary
     else:
-        res_path, _ = init_path(w_res, r_residual)
-        err_total = float(np.linalg.norm(w_res - path_effective_weight(res_path)))
+        w_res = w - path_effective_weight(primary)
+        res_path, res_report = init_path(w_res, r_residual)
+        err_total = res_report.frob_err_primary
         if err_total > err_primary:
             res_path.ell = np.zeros(r_residual)
             err_total = err_primary

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import bitpack, qat
 from .dualsvid import quantize
-from .layer import measured_bpw, path_effective_weight
+from .layer import (LittleBitLayer, QuantPath, forward, measured_bpw,
+                    path_effective_weight)
 from .planner import rank_for_bpw
 from .tensor import rank1_nonneg, seeded_rng, truncated_svd
 
@@ -59,11 +60,9 @@ def crude_quantize(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Sign matrices with one fixed per-row magnitude scale from a rank-1
     fit of each factor's magnitudes; deliberately has no per-rank scale,
     so its fit degrades as the factors get richer."""
-    su = np.where(u >= 0, 1.0, -1.0)
-    sv = np.where(v >= 0, 1.0, -1.0)
     s_u = rank1_nonneg(np.abs(u)).left
     s_v = rank1_nonneg(np.abs(v)).left
-    return (su * s_u[:, None]) @ (sv * s_v[:, None]).T
+    return (bitpack.sign(u) * s_u[:, None]) @ (bitpack.sign(v) * s_v[:, None]).T
 
 
 def error_vs_rank_sweep(shape: tuple[int, int] = (64, 64),
@@ -217,14 +216,14 @@ def gemv_bench(d_out: int, d_in: int, ranks: Sequence[int],
     """Time the primary-path packed forward against a dense float32 GEMV
     reference at each latent rank."""
     rng = seeded_rng(seed)
-    x = rng.standard_normal(d_in)
+    x = rng.standard_normal((1, d_in))
     g = np.abs(rng.standard_normal(d_in)) + 0.1
     h = np.abs(rng.standard_normal(d_out)) + 0.1
 
     rows = []
     with _single_thread_limit():
         w32 = rng.standard_normal((d_out, d_in)).astype(np.float32)
-        x32 = x.astype(np.float32)
+        x32 = x[0].astype(np.float32)
         dense_ns = _median_ns(lambda: w32 @ x32, repeats, warmup)
         del w32
         rows.append((d_out, d_in, "dense-f32", 0, dense_ns, repeats, 1.0))
@@ -233,13 +232,12 @@ def gemv_bench(d_out: int, d_in: int, ranks: Sequence[int],
             vf = _random_factor(rng, d_in, r)
             uf = _random_factor(rng, d_out, r)
             ell = np.abs(rng.standard_normal(r)) + 0.1
-
-            def fwd():
-                t = bitpack.gemv_right(x * g, vf)
-                return bitpack.gemv_left(t * ell, uf) * h
+            lay = LittleBitLayer(d_out=d_out, d_in=d_in, primary=QuantPath(
+                u_sign=uf, v_sign=vf, h=h, g=g, ell=ell))
             rows.append((d_out, d_in, "packed-fallback", r,
-                         _median_ns(fwd, repeats, warmup), repeats, 0.0))
-            del vf, uf
+                         _median_ns(lambda: forward(lay, x), repeats, warmup),
+                         repeats, 0.0))
+            del vf, uf, lay
 
     final = []
     for row in rows:

@@ -22,6 +22,7 @@ import numpy as np
 from . import bitpack
 from .bitpack import BinaryFactor
 from .errors import FormatError
+from .planner import path_bits
 from .tensor import as_matrix, atomic_write
 
 LBQ_MAGIC = b"LBQ1"
@@ -90,11 +91,18 @@ class LittleBitLayer:
         return [self.primary] if self.residual is None else [self.primary, self.residual]
 
 
+def scaled_product(h: np.ndarray, su: np.ndarray, ell: np.ndarray,
+                   sv: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Dense diag(h) su diag(ell) sv.T diag(g) from unpacked factors.
+
+    The one place the product is spelled out: the evaluation order here
+    fixes the last bits of every reconstruction and training step."""
+    return ((h[:, None] * su) * ell) @ (sv * g[:, None]).T
+
+
 def path_effective_weight(p: QuantPath) -> np.ndarray:
     """Dense diag(h) U_sign diag(ell) V_sign.T diag(g), shape d_out x d_in."""
-    left = (p.h[:, None] * p.u_sign.dense()) * p.ell
-    right = p.v_sign.dense() * p.g[:, None]
-    return left @ right.T
+    return scaled_product(p.h, p.u_sign.dense(), p.ell, p.v_sign.dense(), p.g)
 
 
 def effective_weight(layer: LittleBitLayer) -> np.ndarray:
@@ -133,17 +141,10 @@ def forward(layer: LittleBitLayer, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def measured_bpw(layer: LittleBitLayer, scale_bits: int = 16) -> float:
-    """Average stored bits per original weight entry.
-
-    Counts 1 bit per sign and *scale_bits* per scale entry over every
-    present path, divided by d_out * d_in.
-    """
-    if scale_bits not in (16, 32):
-        raise ValueError("scale_bits must be 16 or 32")
-    bits = 0
-    for p in layer.paths():
-        bits += p.rank * (layer.d_out + layer.d_in)
-        bits += scale_bits * (layer.d_out + layer.d_in + p.rank)
+    """Average stored bits per original weight entry: :func:`path_bits`
+    summed over every present path, divided by d_out * d_in."""
+    bits = sum(path_bits(layer.d_out, layer.d_in, p.rank, scale_bits)
+               for p in layer.paths())
     return bits / (layer.d_out * layer.d_in)
 
 
@@ -183,13 +184,21 @@ def _check_fp16_range(layer: LittleBitLayer) -> None:
                 raise ValueError(
                     f"{name} path scale {vec} has |value| {largest:g} above "
                     f"the fp16 maximum {fp16_max:g}; save with float32 scales")
+            # exact zeros are legal: a zeroed residual path stores ell = 0
+            lost = (v != 0) & (v.astype(np.float16) == 0)
+            if np.any(lost):
+                smallest = float(np.min(np.abs(v[lost])))
+                raise ValueError(
+                    f"{name} path scale {vec} has nonzero |value| {smallest:g} "
+                    f"that rounds to 0 in fp16; save with float32 scales")
 
 
 def save_lbq(layer: LittleBitLayer, path, fp16_scales: bool = False) -> None:
     """Serialize a layer to an LBQ file (atomic write).
 
     With *fp16_scales*, raises ValueError before writing anything if a
-    scale is too large to store as a finite fp16 value.
+    scale is too large to store as a finite fp16 value or is nonzero but
+    would round to 0.
     """
     if fp16_scales:
         _check_fp16_range(layer)

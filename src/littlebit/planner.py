@@ -2,11 +2,12 @@
 grouped-query-attention rank boost for key/value projections, and
 model-level memory and KV-cache estimators.
 
-Storage model per layer and path: 1 bit per sign entry of the two
-(d x r) factors plus 16 bits per scale entry (h, g, ell). With the
-residual path enabled both paths are counted, giving
+Storage model: :func:`path_bits` counts one path, 1 bit per sign entry of
+the two (d x r) factors plus 16 bits per scale entry (h, g, ell). It is the
+one bit count; the planner and ``layer.measured_bpw`` derive from it. With
+the residual path enabled both paths are counted, giving
 
-    b = [2 r (d_out + d_in) + 32 (d_out + d_in) + 32 r] / (d_out d_in)
+    b = 2 path_bits(d_out, d_in, r) / (d_out d_in)
 
 and without it the leading factor of two is dropped.
 """
@@ -28,13 +29,20 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def path_bits(d_out: int, d_in: int, r: int, scale_bits: int = 16) -> int:
+    """Stored bits of one rank-*r* path: 1 per sign of the (d_out x r) and
+    (d_in x r) factors plus *scale_bits* per entry of h, g and ell."""
+    if scale_bits not in (16, 32):
+        raise ValueError("scale_bits must be 16 or 32")
+    return r * (d_out + d_in) + scale_bits * (d_out + d_in + r)
+
+
 def bpw_for_rank(d_out: int, d_in: int, r: int, residual: bool = True) -> float:
     """Achieved average bits per weight at latent rank *r*."""
     if r < 0:
         raise ValueError("rank must be nonnegative")
     paths = 2 if residual else 1
-    bits = paths * (r * (d_out + d_in) + 16 * (d_out + d_in + r))
-    return bits / (d_out * d_in)
+    return paths * path_bits(d_out, d_in, r) / (d_out * d_in)
 
 
 def rank_for_bpw(d_out: int, d_in: int, target_b: float,
@@ -46,14 +54,15 @@ def rank_for_bpw(d_out: int, d_in: int, target_b: float,
     floor for the shape.
     """
     paths = 2 if residual else 1
-    numerator = target_b * d_out * d_in - paths * 16 * (d_out + d_in)
+    scales_only = paths * path_bits(d_out, d_in, 0)
+    numerator = target_b * d_out * d_in - scales_only
     if numerator <= 0:
-        floor = paths * 16 * (d_out + d_in) / (d_out * d_in)
+        floor = scales_only / (d_out * d_in)
         raise InfeasibleError(
             f"target {target_b} bits/weight is below the scales-only floor "
             f"{floor:.6g} for shape ({d_out}, {d_in})")
-    denominator = paths * (d_out + d_in) + paths * 16
-    return max(1, _round_half_up(numerator / denominator))
+    per_rank = paths * (path_bits(d_out, d_in, 1) - path_bits(d_out, d_in, 0))
+    return max(1, _round_half_up(numerator / per_rank))
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,12 @@ cosine (or constant) schedule.
 The training objective is the per-layer distillation term: mean squared
 error between student and teacher outputs on a small seeded calibration
 set that is cycled epoch-style, mirroring finite-data quantization-aware
-training. (When this layerwise term joins a full distillation objective
-with an output cross-entropy term it is weighted by KD_INTER_WEIGHT;
-only the layerwise term is trained here.)
+training.
 
 Internally the trainer evaluates the student through the materialized
 effective weight of the current parameters. This makes a layer whose
 teacher equals its own effective weight an exact fixed point (zero loss,
-zero gradients, no optimizer drift). Inference-path evaluation
-(:meth:`TrainableLayer.forward`) still routes through the packed kernels
-via a snapshot and is bit-identical to the snapshot layer's forward.
+zero gradients, no optimizer drift).
 """
 
 from __future__ import annotations
@@ -32,12 +28,8 @@ import numpy as np
 from . import bitpack
 from .dualsvid import split_factors
 from .errors import DivergenceError
-from .layer import LittleBitLayer, QuantPath, forward as layer_forward, path_effective_weight
+from .layer import LittleBitLayer, QuantPath, path_effective_weight, scaled_product
 from .tensor import as_matrix, seeded_rng, truncated_svd
-
-# Weight applied to the layerwise MSE term inside a full distillation
-# objective; documentation only, the output-CE term is out of scope here.
-KD_INTER_WEIGHT = 10.0
 
 SURROGATE_KINDS = ("smoothsign", "ste")
 SCHEDULES = ("constant", "cosine")
@@ -114,7 +106,8 @@ DEFAULT_EPS_INIT = 0.02
 
 @dataclass
 class TrainablePath:
-    """Latent real factors plus scales; sign(latent) feeds the forward."""
+    """Latent real factors plus scales; sign(latent) feeds the forward.
+    :func:`loss_and_grads` returns gradients in the same record."""
 
     u_latent: np.ndarray
     v_latent: np.ndarray
@@ -135,8 +128,8 @@ class TrainablePath:
     def snapshot(self) -> QuantPath:
         """Lossy one-way conversion back to a packed path (sign(0) -> +1)."""
         return QuantPath(
-            u_sign=bitpack.pack(np.where(self.u_latent >= 0, 1.0, -1.0)),
-            v_sign=bitpack.pack(np.where(self.v_latent >= 0, 1.0, -1.0)),
+            u_sign=bitpack.pack(bitpack.sign(self.u_latent)),
+            v_sign=bitpack.pack(bitpack.sign(self.v_latent)),
             h=self.h.copy(), g=self.g.copy(), ell=self.ell.copy())
 
 
@@ -158,11 +151,6 @@ class TrainableLayer:
         return LittleBitLayer(d_out=self.d_out, d_in=self.d_in,
                               primary=self.paths[0].snapshot(),
                               residual=residual)
-
-    def forward(self, x) -> np.ndarray:
-        """Inference-path forward: identical bit-for-bit to running the
-        snapshot layer through the packed kernels."""
-        return layer_forward(self.snapshot(), x)
 
 
 def make_trainable(layer: LittleBitLayer, teacher_w=None,
@@ -195,18 +183,6 @@ def make_trainable(layer: LittleBitLayer, teacher_w=None,
 # Loss and gradients
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PathGrads:
-    u_latent: np.ndarray
-    v_latent: np.ndarray
-    h: np.ndarray
-    g: np.ndarray
-    ell: np.ndarray
-
-    def params(self) -> list[np.ndarray]:
-        return [self.u_latent, self.v_latent, self.h, self.g, self.ell]
-
-
 def _binarize(latent: np.ndarray, spec: SurrogateSpec, smooth: bool):
     """(factor, local derivative) for a latent matrix.
 
@@ -218,13 +194,13 @@ def _binarize(latent: np.ndarray, spec: SurrogateSpec, smooth: bool):
     if smooth:
         t = np.tanh(spec.k * latent)
         return t, spec.k * (1.0 - t * t)
-    s = np.where(latent >= 0, 1.0, -1.0)
-    return s, surrogate_backward(latent, spec)
+    return bitpack.sign(latent), surrogate_backward(latent, spec)
 
 
 def loss_and_grads(tl: TrainableLayer, x, y_teacher, spec: SurrogateSpec,
-                   smooth: bool = False) -> tuple[float, list[PathGrads]]:
-    """Layerwise MSE loss and gradients for every trainable field.
+                   smooth: bool = False) -> tuple[float, list[TrainablePath]]:
+    """Layerwise MSE loss and gradients for every trainable field, one
+    :class:`TrainablePath` of gradients per path.
 
     Scales get exact chain-rule gradients; latent factors get the chain
     rule with sign() differentiated per *spec* (or exactly, in smooth
@@ -242,7 +218,7 @@ def loss_and_grads(tl: TrainableLayer, x, y_teacher, spec: SurrogateSpec,
     for p in tl.paths:
         su, dsu = _binarize(p.u_latent, spec, smooth)
         sv, dsv = _binarize(p.v_latent, spec, smooth)
-        w_path = ((p.h[:, None] * su) * p.ell) @ (sv * p.g[:, None]).T
+        w_path = scaled_product(p.h, su, p.ell, sv, p.g)
         factors.append((su, dsu, sv, dsv))
         w_total = w_total + w_path
 
@@ -262,8 +238,8 @@ def loss_and_grads(tl: TrainableLayer, x, y_teacher, spec: SurrogateSpec,
             d_su = (a @ sv) * p.ell
             d_sv = (a.T @ su) * p.ell
             dell = np.sum((su.T @ a) * sv.T, axis=1)
-            grads.append(PathGrads(u_latent=d_su * dsu, v_latent=d_sv * dsv,
-                                   h=dh, g=dg, ell=dell))
+            grads.append(TrainablePath(u_latent=d_su * dsu, v_latent=d_sv * dsv,
+                                       h=dh, g=dg, ell=dell))
     return loss, grads
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from littlebit import bitpack
 from conftest import naive_gemv_left, naive_gemv_right, random_signs
@@ -89,7 +91,7 @@ class TestGemv:
         f = bitpack.pack(s)
         x = rng.standard_normal(33)
         assert np.allclose(bitpack.gemv_right(x, f),
-                           bitpack.gemv_left(x, f.transpose()), atol=1e-12)
+                           bitpack.gemv_left(x, bitpack.pack(s.T)), atol=1e-12)
 
     def test_linearity(self, rng):
         s = random_signs(rng, 40, 70)
@@ -112,6 +114,19 @@ class TestGemv:
         f = bitpack.pack(s)
         x = rng.standard_normal(50)
         assert np.array_equal(bitpack.gemv_right(x, f), bitpack.gemv_right(x, f))
+
+
+class TestSign:
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                    max_side=70),
+                      elements=st.sampled_from([0.0, -0.0])
+                      | st.floats(allow_nan=False)))
+    @example(np.array([[0.0, -0.0, -5e-324, 2.0, -np.inf]]))
+    def test_zeros_plus_one_negatives_minus_one(self, a):
+        s = bitpack.sign(a)
+        assert s.dtype == np.float64 and s.shape == a.shape
+        assert np.all(s[a < 0] == -1.0) and np.all(s[a >= 0] == 1.0)
+        assert np.array_equal(bitpack.unpack(bitpack.pack(s)), s)
 
 
 class TestBackends:

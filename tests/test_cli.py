@@ -110,6 +110,17 @@ class TestQuantize:
         assert "fp16" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fp16_scale_underflow_exit_2_no_output(self, rng, tmp_path, capsys):
+        # scales of a matrix this small round to 0 in fp16, so the stored
+        # layer would output zeros
+        ref = tmp_path / "w.lbm"
+        tensor.save_matrix(rng.standard_normal((32, 24)) * 1e-20, ref)
+        out = tmp_path / "w.lbq"
+        assert run(["quantize", "--in", str(ref), "--rank", "4",
+                    "--fp16-scales", "--out", str(out)]) == 2
+        assert "rounds to 0 in fp16" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_quantize_eval_consistency(self, teacher_files, tmp_path):

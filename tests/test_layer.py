@@ -2,8 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from littlebit import bitpack, layer
+from littlebit import bitpack, layer, planner
 from littlebit.errors import FormatError
 from littlebit.layer import LittleBitLayer, QuantPath
 from conftest import random_layer, random_path, scalar_effective_weight
@@ -105,6 +106,28 @@ class TestMeasuredBpw:
                 / (d_out * d_in)
             assert layer.measured_bpw(lay, 16) == pytest.approx(expect, abs=0)
 
+    @given(st.integers(1, 4096), st.integers(1, 4096), st.integers(1, 300),
+           st.integers(1, 300), st.sampled_from([16, 32]))
+    def test_equals_path_bits_over_shapes(self, d_out, d_in, r_p, r_r, s):
+        def path(r):
+            def factor(rows):
+                words = np.zeros((rows, bitpack.words_per_row(r)), np.uint64)
+                return bitpack.BinaryFactor(rows, r, words)
+            return QuantPath(u_sign=factor(d_out), v_sign=factor(d_in),
+                             h=np.ones(d_out), g=np.ones(d_in), ell=np.ones(r))
+
+        def lay(residual):
+            return LittleBitLayer(d_out=d_out, d_in=d_in, primary=path(r_p),
+                                  residual=residual)
+        bits = (planner.path_bits(d_out, d_in, r_p, s)
+                + planner.path_bits(d_out, d_in, r_r, s))
+        assert layer.measured_bpw(lay(path(r_r)), s) == bits / (d_out * d_in)
+        # equal ranks, and no residual: the planner's figure exactly
+        assert layer.measured_bpw(lay(path(r_p))) == planner.bpw_for_rank(
+            d_out, d_in, r_p, residual=True)
+        assert layer.measured_bpw(lay(None)) == planner.bpw_for_rank(
+            d_out, d_in, r_p, residual=False)
+
     def test_scales_only_floor(self, rng):
         # r=0 paths: only the scale vectors remain
         def path(r):
@@ -159,6 +182,19 @@ class TestLbqFormat:
         assert not p.exists()
         layer.save_lbq(lay, p)
         assert layer.load_lbq(p).residual.h[4] == 1e5
+
+    def test_fp16_underflow_rejected_before_write(self, rng, tmp_path):
+        lay = random_layer(rng, 8, 8, 2, residual=True)
+        lay.primary.g[3] = 1e-8
+        p = tmp_path / "tiny.lbq"
+        with pytest.raises(ValueError, match="primary path scale g"):
+            layer.save_lbq(lay, p, fp16_scales=True)
+        assert not p.exists()
+        # exact zeros stay legal: a zeroed residual path stores ell = 0
+        lay.primary.g[3] = 0.5
+        lay.residual.ell[:] = 0.0
+        layer.save_lbq(lay, p, fp16_scales=True)
+        assert np.all(layer.load_lbq(p).residual.ell == 0.0)
 
     def test_bad_magic(self, rng, tmp_path):
         p = tmp_path / "bad.lbq"

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from littlebit import planner
 from littlebit.errors import InfeasibleError
@@ -70,6 +71,13 @@ class TestRankFormulas:
             step = (planner.bpw_for_rank(d_out, d_in, r + 1, residual)
                     - planner.bpw_for_rank(d_out, d_in, r, residual))
             assert abs(achieved - b) <= step + 1e-12
+
+    @given(st.integers(1, 20_000), st.integers(1, 20_000),
+           st.floats(0.0, 1.0), st.booleans())
+    def test_rank_for_bpw_inverts_bpw_for_rank(self, d_out, d_in, frac, residual):
+        r = max(1, round(frac * min(d_out, d_in)))
+        b = planner.bpw_for_rank(d_out, d_in, r, residual)
+        assert planner.rank_for_bpw(d_out, d_in, b, residual) == r
 
     def test_residual_toggling_relation(self):
         # recompute from the formulas rather than assuming a fixed ratio
