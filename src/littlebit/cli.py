@@ -68,7 +68,8 @@ def cmd_quantize(args) -> int:
     else:
         rank = planner.rank_for_bpw(d_out, d_in, args.bpw, residual=residual)
     layer, report = quantize(w, rank, residual=residual,
-                             r_residual=rank if residual else None)
+                             r_residual=rank if residual else None,
+                             svd="randomized")
     save_lbq(layer, args.out, fp16_scales=args.fp16_scales)
     bpw = measured_bpw(layer, scale_bits=16 if args.fp16_scales else 32)
     print(f"quantized {d_out}x{d_in} at rank {rank} "

@@ -46,8 +46,11 @@ def split_factors(svd: SvdResult) -> tuple[np.ndarray, np.ndarray]:
     return svd.u * root, svd.v * root
 
 
-def init_path(w, r: int) -> tuple[QuantPath, InitReport]:
-    """Initialize one scaled-binary path of rank *r* from a dense matrix."""
+def init_path(w, r: int, svd: str = "exact") -> tuple[QuantPath, InitReport]:
+    """Initialize one scaled-binary path of rank *r* from a dense matrix.
+
+    *svd* is the ``tensor.truncated_svd`` method for the top-r triplets.
+    """
     w = as_matrix(w, "w")
     require_finite(w, "w")
     w_norm = float(np.linalg.norm(w))
@@ -56,7 +59,7 @@ def init_path(w, r: int) -> tuple[QuantPath, InitReport]:
     if not 1 <= r <= min(w.shape):
         raise ValueError(f"rank {r} out of range for shape {w.shape}")
 
-    uprime, vprime = split_factors(truncated_svd(w, r))
+    uprime, vprime = split_factors(truncated_svd(w, r, method=svd))
     u_fit = rank1_nonneg(np.abs(uprime))
     v_fit = rank1_nonneg(np.abs(vprime))
     path = QuantPath(
@@ -89,8 +92,14 @@ def _zero_residual_path(d_out: int, d_in: int, r: int) -> QuantPath:
 
 
 def quantize(w, r_primary: int, residual: bool = True,
-             r_residual: int | None = None) -> tuple[LittleBitLayer, InitReport]:
+             r_residual: int | None = None,
+             svd: str = "exact") -> tuple[LittleBitLayer, InitReport]:
     """Quantize a dense matrix into a ready layer.
+
+    *svd* selects the ``tensor.truncated_svd`` method of both paths. The
+    default ``"exact"`` uses the best rank-r triplets, which the recorded
+    fixtures hold; ``"randomized"`` is several times faster at ranks well
+    below min(d_out, d_in) and slightly less accurate.
 
     The residual path is fit to W - W_hat_primary and kept only if it
     reduces the total error; otherwise its latent scales are zeroed so
@@ -99,7 +108,7 @@ def quantize(w, r_primary: int, residual: bool = True,
     """
     w = as_matrix(w, "w")
     d_out, d_in = w.shape
-    primary, prim_report = init_path(w, r_primary)
+    primary, prim_report = init_path(w, r_primary, svd=svd)
     if not residual:
         layer = LittleBitLayer(d_out=d_out, d_in=d_in, primary=primary)
         return layer, prim_report
@@ -116,7 +125,7 @@ def quantize(w, r_primary: int, residual: bool = True,
         err_total = err_primary
     else:
         w_res = w - path_effective_weight(primary)
-        res_path, res_report = init_path(w_res, r_residual)
+        res_path, res_report = init_path(w_res, r_residual, svd=svd)
         err_total = res_report.frob_err_primary
         if err_total > err_primary:
             res_path.ell = np.zeros(r_residual)

@@ -73,8 +73,35 @@ class SvdResult:
         return self.sigma.shape[0]
 
 
-def truncated_svd(a, k: int) -> SvdResult:
+SVD_METHODS = ("exact", "randomized")
+# Randomized range finder (Halko, Martinsson & Tropp 2011, "Finding
+# structure with randomness", Algorithms 4.4 and 5.1): sample k + OVERSAMPLE
+# directions and run POWER_ITERS rounds of A A^T on them. The sketch is
+# drawn from a fixed seed so that equal inputs give equal outputs.
+RSVD_OVERSAMPLE = 16
+RSVD_POWER_ITERS = 3
+RSVD_SEED = 0
+
+
+def _randomized_svd(a: np.ndarray, k: int):
+    """Thin SVD (u, s, vt) of the rank-(k + RSVD_OVERSAMPLE) sketch of *a*."""
+    rng = seeded_rng(RSVD_SEED)
+    q, _ = np.linalg.qr(a @ rng.standard_normal((a.shape[1], k + RSVD_OVERSAMPLE)))
+    for _ in range(RSVD_POWER_ITERS):
+        # one QR per round keeps the basis well conditioned
+        q, _ = np.linalg.qr(a @ (a.T @ q))
+    ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
+    return q @ ub[:, :k], s, vt
+
+
+def truncated_svd(a, k: int, method: str = "exact") -> SvdResult:
     """Top-k SVD of a dense matrix with a deterministic sign convention.
+
+    ``method="exact"`` truncates a full thin SVD. ``method="randomized"``
+    uses the seeded randomized range finder above, whose triplets
+    approximate the exact ones and whose outputs repeat exactly for equal
+    input; it falls back to the exact SVD when the sketch would span the
+    smaller side anyway (k + RSVD_OVERSAMPLE >= min(m, n)).
 
     Each (u_i, v_i) pair is flipped so that the entry of largest magnitude
     in u_i is positive, making outputs reproducible across runs.
@@ -83,7 +110,12 @@ def truncated_svd(a, k: int) -> SvdResult:
     require_finite(a)
     if not 1 <= k <= min(a.shape):
         raise ValueError(f"rank k={k} out of range for shape {a.shape}")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if method not in SVD_METHODS:
+        raise ValueError(f"unknown SVD method {method!r}; expected one of {SVD_METHODS}")
+    if method == "randomized" and k + RSVD_OVERSAMPLE < min(a.shape):
+        u, s, vt = _randomized_svd(a, k)
+    else:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
     u = u[:, :k].copy()
     s = s[:k].copy()
     v = vt[:k].T.copy()
@@ -107,6 +139,10 @@ class Rank1Result:
 
     left: np.ndarray
     right: np.ndarray
+    # power-iteration rounds run, and whether the right iterate moved less
+    # than tol before max_iter ran out
+    iterations: int
+    converged: bool
 
 
 def rank1_nonneg(a, max_iter: int = 200, tol: float = 1e-12) -> Rank1Result:
@@ -114,7 +150,8 @@ def rank1_nonneg(a, max_iter: int = 200, tol: float = 1e-12) -> Rank1Result:
     iteration on the right side.
 
     Stops when the right iterate moves less than *tol* or after *max_iter*
-    rounds. Raises ValueError on all-zero input.
+    rounds; ``converged`` on the result says which. Raises ValueError on
+    all-zero input.
     """
     a = as_matrix(a)
     require_finite(a)
@@ -124,7 +161,8 @@ def rank1_nonneg(a, max_iter: int = 200, tol: float = 1e-12) -> Rank1Result:
         raise ValueError("rank1_nonneg requires at least one positive entry")
     n = a.shape[1]
     v = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(max_iter):
+    iterations, converged = 0, False
+    for iterations in range(1, max_iter + 1):
         u = a @ v
         nu = np.linalg.norm(u)
         if nu == 0.0:
@@ -137,9 +175,11 @@ def rank1_nonneg(a, max_iter: int = 200, tol: float = 1e-12) -> Rank1Result:
         delta = np.linalg.norm(w - v)
         v = w
         if delta < tol:
+            converged = True
             break
     left = a @ v
-    return Rank1Result(left=left, right=v)
+    return Rank1Result(left=left, right=v, iterations=iterations,
+                       converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +190,19 @@ def rank1_nonneg(a, max_iter: int = 200, tol: float = 1e-12) -> Rank1Result:
 
 def atomic_write(path, data: bytes) -> None:
     """Write *data* to *path* via a temp file and atomic rename, so an
-    interrupted writer never leaves a partial file at the target."""
+    interrupted writer never leaves a partial file at the target.
+
+    The temp file is fsynced before the rename and the directory after it,
+    so the new file survives a machine crash, not only a process crash.
+    """
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -164,6 +210,11 @@ def atomic_write(path, data: bytes) -> None:
         except OSError:
             pass
         raise
+    dir_fd = os.open(d, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def save_matrix(m, path) -> None:

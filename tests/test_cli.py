@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from littlebit import cli, layer, tensor
+from littlebit import cli, dualsvid, layer, tensor
 from conftest import fixture_path
 
 MODEL_SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "model_specs")
@@ -84,6 +84,22 @@ class TestQuantize:
         step = (planner.bpw_for_rank(512, 512, lay.primary.rank + 1, True)
                 - planner.bpw_for_rank(512, 512, lay.primary.rank, True))
         assert abs(achieved - 0.3) <= step
+
+    def test_uses_randomized_svd(self, rng, tmp_path):
+        w = rng.standard_normal((96, 80))
+        ref = tmp_path / "w.lbm"
+        tensor.save_matrix(w, ref)
+        out = tmp_path / "w.lbq"
+        rep = tmp_path / "rep.csv"
+        assert run(["quantize", "--in", str(ref), "--rank", "6",
+                    "--out", str(out), "--report", str(rep)]) == 0
+        header, row = rep.read_text().splitlines()
+        total = float(row.split(",")[header.split(",").index("rel_err_total")])
+        stored = tensor.load_matrix(ref)
+        _, randomized = dualsvid.quantize(stored, 6, r_residual=6, svd="randomized")
+        _, exact = dualsvid.quantize(stored, 6, r_residual=6, svd="exact")
+        assert total == float(f"{randomized.rel_err_total!r}")
+        assert total != exact.rel_err_total
 
     def test_missing_input_exit_2(self, tmp_path):
         assert run(["quantize", "--in", str(tmp_path / "none.lbm"),

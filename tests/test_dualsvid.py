@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from littlebit import bitpack, dualsvid, tensor
-from littlebit.layer import path_effective_weight
+from littlebit.layer import effective_weight, path_effective_weight
 from littlebit.tensor import SvdResult
 from conftest import scaled_sign_rank1
 
@@ -112,6 +113,19 @@ class TestQuantize:
             _, report = dualsvid.quantize(w, r, residual=True, r_residual=r)
             assert report.frob_err_total <= report.frob_err_primary + 1e-12
 
+    def test_guard_zeroes_a_residual_that_adds_error(self):
+        # a seed where the residual's scaled-binary fit is 4.6% worse than
+        # leaving the residual out
+        rng = np.random.default_rng(2762)
+        w = rng.standard_normal((5, 4)) * np.exp(2 * rng.standard_normal((5, 4)))
+        lay, report = dualsvid.quantize(w, 2, residual=True, r_residual=2)
+        _, fit = dualsvid.init_path(w - path_effective_weight(lay.primary), 2)
+        assert fit.frob_err_primary > 1.04 * report.frob_err_primary
+        assert np.all(lay.residual.ell == 0)
+        assert report.frob_err_total == report.frob_err_primary
+        assert report.frob_err_total == pytest.approx(
+            np.linalg.norm(w - effective_weight(lay)), rel=1e-12)
+
     def test_ranks_may_differ(self, rng):
         w = rng.standard_normal((16, 16))
         lay, _ = dualsvid.quantize(w, 5, residual=True, r_residual=2)
@@ -128,3 +142,58 @@ class TestQuantize:
         norm = np.linalg.norm(w)
         assert report.rel_err_primary == pytest.approx(report.frob_err_primary / norm)
         assert report.rank_used == 2
+
+
+@st.composite
+def guard_cases(draw):
+    """Shapes and ranks small enough to be quick. Sides above
+    RSVD_OVERSAMPLE + 1 let small ranks take the randomized branch;
+    heavy-tailed entries (log-normal scales) make residuals whose
+    scaled-binary fit can be worse than zero, so the guard can fire."""
+    d_out = draw(st.integers(2, 48))
+    d_in = draw(st.integers(2, 48))
+    r = draw(st.integers(1, min(d_out, d_in)))
+    r_res = draw(st.integers(1, min(d_out, d_in)))
+    decay = draw(st.sampled_from([0.0, 1.0]))
+    spread = draw(st.sampled_from([0.0, 2.0]))
+    return d_out, d_in, r, r_res, decay, spread, draw(st.integers(0, 2**32 - 1))
+
+
+class TestResidualGuardProperty:
+    @given(guard_cases(), st.sampled_from(tensor.SVD_METHODS))
+    def test_never_adds_error_and_reports_the_layer(self, case, svd):
+        d_out, d_in, r, r_res, decay, spread, seed = case
+        rng = np.random.default_rng(seed)
+        w = (rng.standard_normal((d_out, d_in))
+             * np.exp(spread * rng.standard_normal((d_out, d_in)))
+             * (1.0 + np.arange(d_in)) ** -decay)
+        lay, report = dualsvid.quantize(w, r, residual=True, r_residual=r_res,
+                                        svd=svd)
+        assert report.rel_err_total <= report.rel_err_primary
+        actual = np.linalg.norm(w - effective_weight(lay)) / np.linalg.norm(w)
+        assert report.rel_err_total == pytest.approx(actual, rel=1e-9, abs=1e-15)
+
+
+class TestRandomizedInit:
+    def test_error_within_one_percent_of_exact(self):
+        # decaying spectrum plus a flat bulk, as in a trained weight; the
+        # rank leaves the randomized branch in use for both paths
+        rng = np.random.default_rng(2024)
+        d_out, d_in, k = 384, 256, 64
+        u = rng.standard_normal((d_out, k)) / np.sqrt(d_out)
+        v = rng.standard_normal((d_in, k)) / np.sqrt(d_in)
+        w = ((u * 8.0 * (1.0 + np.arange(k)) ** -0.6) @ v.T
+             + rng.standard_normal((d_out, d_in)) * 0.3 / np.sqrt(d_in))
+        r = 40
+        assert r + tensor.RSVD_OVERSAMPLE < min(w.shape)
+        _, exact = dualsvid.quantize(w, r, svd="exact")
+        _, approx = dualsvid.quantize(w, r, svd="randomized")
+        gap = approx.rel_err_total / exact.rel_err_total - 1.0
+        assert abs(gap) <= 0.01
+
+    def test_default_is_exact(self, rng):
+        w = rng.standard_normal((60, 50))
+        lay, report = dualsvid.quantize(w, 4)
+        lay_e, report_e = dualsvid.quantize(w, 4, svd="exact")
+        assert report == report_e
+        assert np.array_equal(effective_weight(lay), effective_weight(lay_e))

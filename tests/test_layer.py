@@ -163,6 +163,33 @@ class TestLbqFormat:
         assert np.array_equal(bitpack.unpack(loaded.primary.u_sign),
                               bitpack.unpack(lay.primary.u_sign))
 
+    @given(st.integers(1, 70), st.integers(1, 70), st.integers(1, 70),
+           st.integers(1, 70), st.booleans(), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_save_load_save_byte_identical(self, tmp_path_factory, d_out, d_in,
+                                           r, r_res, residual, fp16, seed):
+        rng = np.random.default_rng(seed)
+
+        def path(rank):
+            # scales of either sign, between 2^-10 and 2^10 in magnitude,
+            # so that fp16 neither overflows nor rounds them to 0
+            def scales(n):
+                return rng.choice([-1.0, 1.0], n) * 2.0 ** rng.uniform(-10, 10, n)
+            return QuantPath(
+                u_sign=bitpack.pack(bitpack.sign(rng.standard_normal((d_out, rank)))),
+                v_sign=bitpack.pack(bitpack.sign(rng.standard_normal((d_in, rank)))),
+                h=scales(d_out), g=scales(d_in), ell=scales(rank))
+
+        lay = LittleBitLayer(d_out=d_out, d_in=d_in, primary=path(r),
+                             residual=path(r_res) if residual else None)
+        d = tmp_path_factory.mktemp("lbq")
+        layer.save_lbq(lay, d / "a.lbq", fp16_scales=fp16)
+        loaded = layer.load_lbq(d / "a.lbq")
+        layer.save_lbq(loaded, d / "b.lbq", fp16_scales=fp16)
+        assert (d / "a.lbq").read_bytes() == (d / "b.lbq").read_bytes()
+        assert (loaded.residual is not None) == residual
+        assert loaded.primary.rank == r
+
     def test_fp16_mode_roundtrip(self, rng, tmp_path):
         lay = random_layer(rng, 10, 12, 3)
         p = tmp_path / "h.lbq"

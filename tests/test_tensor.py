@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,55 @@ class TestTruncatedSvd:
                 assert best <= np.linalg.norm(a - p) + 1e-8
 
 
+def decaying_matrix(rng, m, n, decay=1.0):
+    """Random singular vectors with singular values (1 + i)^-decay."""
+    u, _ = np.linalg.qr(rng.standard_normal((m, min(m, n))))
+    v, _ = np.linalg.qr(rng.standard_normal((n, min(m, n))))
+    return (u * (1.0 + np.arange(min(m, n))) ** -decay) @ v.T
+
+
+class TestRandomizedSvd:
+    def test_close_to_exact_on_decaying_spectrum(self, rng):
+        a = decaying_matrix(rng, 120, 90)
+        exact = tensor.truncated_svd(a, 8)
+        approx = tensor.truncated_svd(a, 8, method="randomized")
+        assert np.allclose(approx.sigma, exact.sigma, rtol=1e-6)
+        # same leading directions, so the sign convention picks the same sign
+        assert np.allclose(approx.u[:, :3], exact.u[:, :3], atol=1e-4)
+        assert np.allclose(approx.v[:, :3], exact.v[:, :3], atol=1e-4)
+
+    def test_orthonormal_ordered_and_sign_convention(self, rng):
+        for shape in [(80, 50), (50, 80)]:
+            a = rng.standard_normal(shape)
+            res = tensor.truncated_svd(a, 10, method="randomized")
+            assert res.u.shape == (shape[0], 10) and res.v.shape == (shape[1], 10)
+            assert np.allclose(res.u.T @ res.u, np.eye(10), atol=1e-10)
+            assert np.allclose(res.v.T @ res.v, np.eye(10), atol=1e-10)
+            assert np.all(np.diff(res.sigma) <= 1e-12) and np.all(res.sigma >= 0)
+            for i in range(10):
+                assert res.u[np.argmax(np.abs(res.u[:, i])), i] > 0
+
+    def test_repeats_exactly(self, rng):
+        a = rng.standard_normal((70, 60))
+        r1 = tensor.truncated_svd(a, 5, method="randomized")
+        r2 = tensor.truncated_svd(a.copy(), 5, method="randomized")
+        assert np.array_equal(r1.u, r2.u) and np.array_equal(r1.sigma, r2.sigma)
+        assert np.array_equal(r1.v, r2.v)
+
+    def test_exact_when_sketch_spans_the_smaller_side(self, rng):
+        a = rng.standard_normal((60, 30))
+        k = 30 - tensor.RSVD_OVERSAMPLE
+        exact = tensor.truncated_svd(a, k)
+        same = tensor.truncated_svd(a, k, method="randomized")
+        assert np.array_equal(exact.u, same.u) and np.array_equal(exact.v, same.v)
+        below = tensor.truncated_svd(a, k - 1, method="randomized")
+        assert not np.array_equal(below.u, exact.u[:, :k - 1])
+
+    def test_unknown_method(self, rng):
+        with pytest.raises(ValueError, match="method"):
+            tensor.truncated_svd(rng.standard_normal((4, 4)), 1, method="lanczos")
+
+
 class TestRank1Nonneg:
     def test_exact_outer_product(self):
         a = np.outer([1.0, 2.0], [3.0, 4.0])
@@ -94,6 +146,15 @@ class TestRank1Nonneg:
                            rtol=1e-8, atol=1e-10)
         assert np.allclose(res.right, np.abs(svd1.v[:, 0]),
                            rtol=1e-8, atol=1e-10)
+
+    def test_reports_non_convergence(self, rng):
+        a = np.abs(rng.standard_normal((6, 5))) + 0.1
+        res = tensor.rank1_nonneg(a, max_iter=1)
+        assert res.iterations == 1 and not res.converged
+
+    def test_reports_convergence(self):
+        res = tensor.rank1_nonneg(np.ones((4, 4)))
+        assert res.converged and 1 <= res.iterations < 200
 
     def test_nonnegative_outputs(self, rng):
         a = np.abs(rng.standard_normal((12, 5)))
@@ -126,6 +187,38 @@ class TestRng:
     def test_bad_std(self):
         with pytest.raises(ValueError):
             tensor.gaussian_matrix(tensor.seeded_rng(0), 2, 2, std=0.0)
+
+
+class TestAtomicWrite:
+    def test_fsyncs_file_before_rename_then_directory(self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            mode = os.fstat(fd).st_mode
+            events.append("fsync dir" if stat.S_ISDIR(mode) else "fsync file")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        target = tmp_path / "out.bin"
+        tensor.atomic_write(target, b"payload")
+        assert events == ["fsync file", "replace", "fsync dir"]
+        assert target.read_bytes() == b"payload"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_failed_fsync_leaves_no_file(self, tmp_path, monkeypatch):
+        def fsync(fd):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(OSError, match="disk gone"):
+            tensor.atomic_write(tmp_path / "out.bin", b"payload")
+        assert os.listdir(tmp_path) == []
 
 
 class TestLbm1:
