@@ -95,6 +95,8 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.inputs < 1:
+        raise ValueError(f"--inputs must be >= 1, got {args.inputs}")
     layer = load_lbq(args.lbq)
     w = load_matrix(args.ref)
     if w.shape != (layer.d_out, layer.d_in):

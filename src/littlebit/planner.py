@@ -51,8 +51,10 @@ def rank_for_bpw(d_out: int, d_in: int, target_b: float,
     (ties up) and clamped to at least 1.
 
     Raises InfeasibleError when the target is at or below the scales-only
-    floor for the shape.
+    floor for the shape, and ValueError when it is not finite.
     """
+    if not math.isfinite(target_b):
+        raise ValueError(f"target bits/weight must be finite, got {target_b}")
     paths = 2 if residual else 1
     scales_only = paths * path_bits(d_out, d_in, 0)
     numerator = target_b * d_out * d_in - scales_only
@@ -179,8 +181,9 @@ def plan_model(spec: ModelSpec, target_b: float, residual: bool = True,
     """Choose a latent rank per layer for *target_b*, boosting key/value
     projection ranks by *gqa_kv_multiplier* (rounded to nearest). Every
     rank is clamped to min(d_out, d_in), the largest one quantize accepts."""
-    if gqa_kv_multiplier < 1:
-        raise ValueError("gqa_kv_multiplier must be >= 1")
+    if not (math.isfinite(gqa_kv_multiplier) and gqa_kv_multiplier >= 1):
+        raise ValueError(f"gqa_kv_multiplier must be finite and >= 1, "
+                         f"got {gqa_kv_multiplier}")
     plans: list[LayerPlan] = []
     infeasible: list[str] = []
     for l in spec.layers:

@@ -9,8 +9,8 @@ cosine (or constant) schedule.
 
 The training objective is the per-layer distillation term: mean squared
 error between student and teacher outputs on a small seeded calibration
-set that is cycled epoch-style, mirroring finite-data quantization-aware
-training.
+set that is cycled epoch-style, as in quantization-aware training with a
+finite training set.
 
 Internally the trainer evaluates the student through the materialized
 effective weight of the current parameters. This makes a layer whose
@@ -21,18 +21,24 @@ zero gradients, no optimizer drift).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import bitpack
-from .dualsvid import split_factors
 from .errors import DivergenceError
-from .layer import LittleBitLayer, QuantPath, path_effective_weight, scaled_product
-from .tensor import as_matrix, seeded_rng, truncated_svd
+from .layer import LittleBitLayer, QuantPath, scaled_product
+from .tensor import as_matrix, seeded_rng
 
 SURROGATE_KINDS = ("smoothsign", "ste")
 SCHEDULES = ("constant", "cosine")
+
+# Adam constants: the published defaults of Kingma & Ba 2015
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# share of the steps spent in the linear learning-rate warmup
+WARMUP_FRAC = 0.02
 
 
 @dataclass(frozen=True)
@@ -68,37 +74,31 @@ def surrogate_backward(x, spec: SurrogateSpec):
 class TrainConfig:
     steps: int = 500
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch: int = 32
     seed: int = 0
-    warmup_frac: float = 0.02
     schedule: str = "cosine"
-    # Distinct calibration batches drawn up front and cycled; the sampler
-    # is finite by design so the loop trains in epochs over fixed data.
+    # Distinct calibration batches drawn up front and cycled, so the loop
+    # trains in epochs over a fixed calibration set.
     calib_batches: int = 2
 
     def __post_init__(self):
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.steps < 1 or self.batch < 1 or self.calib_batches < 1:
             raise ValueError("steps, batch and calib_batches must be >= 1")
-        if not 0 <= self.warmup_frac <= 1:
-            raise ValueError("warmup_frac must lie in [0, 1]")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
 
     def lr_at(self, step: int) -> float:
         """Learning rate at a 1-based step: linear warmup, then the
         configured decay."""
-        warm = round(self.warmup_frac * self.steps)
+        warm = round(WARMUP_FRAC * self.steps)
         if warm > 0 and step <= warm:
             return self.lr * step / warm
         if self.schedule == "constant" or self.steps == warm:
             return self.lr
         t = (step - warm) / (self.steps - warm)
-        return self.lr * 0.5 * (1.0 + np.cos(np.pi * t))
+        return float(self.lr * 0.5 * (1.0 + np.cos(np.pi * t)))
 
 
 DEFAULT_EPS_INIT = 0.02
@@ -114,13 +114,6 @@ class TrainablePath:
     h: np.ndarray
     g: np.ndarray
     ell: np.ndarray
-
-    @classmethod
-    def from_quantpath(cls, p: QuantPath,
-                       eps_init: float = DEFAULT_EPS_INIT) -> "TrainablePath":
-        return cls(u_latent=p.u_sign.dense() * eps_init,
-                   v_latent=p.v_sign.dense() * eps_init,
-                   h=p.h.copy(), g=p.g.copy(), ell=p.ell.copy())
 
     def params(self) -> list[np.ndarray]:
         return [self.u_latent, self.v_latent, self.h, self.g, self.ell]
@@ -139,13 +132,6 @@ class TrainableLayer:
     d_in: int
     paths: list[TrainablePath]
 
-    @classmethod
-    def from_layer(cls, layer: LittleBitLayer,
-                   eps_init: float = DEFAULT_EPS_INIT) -> "TrainableLayer":
-        return cls(d_out=layer.d_out, d_in=layer.d_in,
-                   paths=[TrainablePath.from_quantpath(p, eps_init)
-                          for p in layer.paths()])
-
     def snapshot(self) -> LittleBitLayer:
         residual = self.paths[1].snapshot() if len(self.paths) > 1 else None
         return LittleBitLayer(d_out=self.d_out, d_in=self.d_in,
@@ -153,30 +139,16 @@ class TrainableLayer:
                               residual=residual)
 
 
-def make_trainable(layer: LittleBitLayer, teacher_w=None,
-                   eps_init: float = DEFAULT_EPS_INIT,
-                   magnitude_init: bool = False) -> TrainableLayer:
-    """Build the trainable state for a layer.
-
-    By default latents are the layer's signs at magnitude *eps_init*
-    (kept small so the SmoothSign derivative stays alive). With
-    *magnitude_init* the latents are seeded with the split SVD factors of
-    the teacher recomputed at each path's rank, carrying real magnitudes;
-    this mode targets freshly quantized layers whose signs came from the
-    same decomposition.
-    """
-    tl = TrainableLayer.from_layer(layer, eps_init)
-    if magnitude_init:
-        if teacher_w is None:
-            raise ValueError("magnitude_init requires teacher_w")
-        w = as_matrix(teacher_w, "teacher_w")
-        target = w
-        for tp, qp in zip(tl.paths, layer.paths()):
-            uprime, vprime = split_factors(truncated_svd(target, qp.rank))
-            tp.u_latent = uprime
-            tp.v_latent = vprime
-            target = target - path_effective_weight(qp)
-    return tl
+def make_trainable(layer: LittleBitLayer,
+                   eps_init: float = DEFAULT_EPS_INIT) -> TrainableLayer:
+    """Trainable state for *layer*: latents are the layer's signs at
+    magnitude *eps_init* (kept small so the SmoothSign derivative stays
+    alive), scales are copies."""
+    return TrainableLayer(d_out=layer.d_out, d_in=layer.d_in, paths=[
+        TrainablePath(u_latent=p.u_sign.dense() * eps_init,
+                      v_latent=p.v_sign.dense() * eps_init,
+                      h=p.h.copy(), g=p.g.copy(), ell=p.ell.copy())
+        for p in layer.paths()])
 
 
 # ---------------------------------------------------------------------------
@@ -254,22 +226,13 @@ class CurvePoint:
     lr: float
 
 
-def default_sampler(cfg: TrainConfig, d_in: int) -> list[np.ndarray]:
-    """Seeded calibration set: cfg.calib_batches batches of standard
-    Gaussian rows, cycled during training."""
-    rng = seeded_rng(cfg.seed)
-    return [rng.standard_normal((cfg.batch, d_in))
-            for _ in range(cfg.calib_batches)]
-
-
 def train(layer0: LittleBitLayer, teacher_w, cfg: TrainConfig,
           spec: SurrogateSpec = SurrogateSpec(),
-          data: Optional[Sequence[np.ndarray]] = None,
-          eps_init: float = DEFAULT_EPS_INIT,
-          magnitude_init: bool = False,
           ) -> tuple[LittleBitLayer, list[CurvePoint]]:
     """Refine *layer0* toward the dense teacher; returns the snapshot
-    layer and the per-step loss curve. Deterministic for a given seed.
+    layer and the per-step loss curve. Deterministic for a given seed:
+    the calibration set is cfg.calib_batches batches of standard Gaussian
+    rows drawn from cfg.seed, cycled during training.
 
     Raises DivergenceError as soon as the loss goes non-finite.
     """
@@ -278,8 +241,10 @@ def train(layer0: LittleBitLayer, teacher_w, cfg: TrainConfig,
         raise ValueError(
             f"teacher shape {teacher_w.shape} does not match layer "
             f"({layer0.d_out}, {layer0.d_in})")
-    tl = make_trainable(layer0, teacher_w, eps_init, magnitude_init)
-    batches = list(data) if data is not None else default_sampler(cfg, layer0.d_in)
+    tl = make_trainable(layer0)
+    rng = seeded_rng(cfg.seed)
+    batches = [rng.standard_normal((cfg.batch, layer0.d_in))
+               for _ in range(cfg.calib_batches)]
     targets = [x @ teacher_w.T for x in batches]
 
     params = [p for path in tl.paths for p in path.params()]
@@ -295,11 +260,11 @@ def train(layer0: LittleBitLayer, teacher_w, cfg: TrainConfig,
         curve.append(CurvePoint(step=t, loss=loss, lr=lr_t))
         flat = [g for pg in grads for g in pg.params()]
         for j, (p, gr) in enumerate(zip(params, flat)):
-            m[j] = cfg.beta1 * m[j] + (1 - cfg.beta1) * gr
-            v[j] = cfg.beta2 * v[j] + (1 - cfg.beta2) * gr * gr
-            mhat = m[j] / (1 - cfg.beta1 ** t)
-            vhat = v[j] / (1 - cfg.beta2 ** t)
-            p -= lr_t * mhat / (np.sqrt(vhat) + cfg.eps)
+            m[j] = ADAM_BETA1 * m[j] + (1 - ADAM_BETA1) * gr
+            v[j] = ADAM_BETA2 * v[j] + (1 - ADAM_BETA2) * gr * gr
+            mhat = m[j] / (1 - ADAM_BETA1 ** t)
+            vhat = v[j] / (1 - ADAM_BETA2 ** t)
+            p -= lr_t * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return tl.snapshot(), curve
 
 

@@ -221,6 +221,8 @@ def save_matrix(m, path) -> None:
     """Serialize a matrix to an LBM1 file (float32 payload, atomic write)."""
     m = as_matrix(m)
     require_finite(m)
+    if 0 in m.shape:
+        raise ValueError(f"matrix has a zero dimension {m.shape}")
     header = _LBM1_HEADER.pack(LBM1_MAGIC, m.shape[0], m.shape[1])
     payload = m.astype("<f4").tobytes()
     atomic_write(path, header + payload)
@@ -235,6 +237,8 @@ def load_matrix(path) -> np.ndarray:
     magic, rows, cols = _LBM1_HEADER.unpack_from(raw)
     if magic != LBM1_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
+    if rows < 1 or cols < 1:
+        raise FormatError(f"{path}: bad dimensions ({rows}, {cols})")
     expected = _LBM1_HEADER.size + 4 * rows * cols
     if len(raw) != expected:
         raise FormatError(

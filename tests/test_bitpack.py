@@ -45,6 +45,19 @@ class TestPack:
             f = bitpack.pack(random_signs(rng, 3, cols))
             assert f.words.shape == (3, (cols + 63) // 64)
 
+    @given(st.integers(1, 8), st.integers(1, 200), st.integers(0, 2**32 - 1))
+    @example(3, 64, 0)
+    @example(2, 128, 1)
+    @example(1, 63, 2)
+    def test_roundtrip_and_zero_pad_over_shapes(self, rows, cols, seed):
+        s = random_signs(np.random.default_rng(seed), rows, cols)
+        f = bitpack.pack(s)
+        assert np.array_equal(bitpack.unpack(f), s)
+        assert f.words.shape == (rows, bitpack.words_per_row(cols))
+        used = cols % 64
+        if used:    # the pad bits of the last word are all zero
+            assert np.all(f.words[:, -1] >> np.uint64(used) == 0)
+
 
 class TestGemv:
     def test_right_one_hot(self):

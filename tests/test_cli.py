@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -41,6 +42,18 @@ class TestPlan:
         assert run(["plan", "--model-spec", str(spec), "--bpw", "0.01",
                     "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_non_finite_targets_exit_2_no_output(self, tmp_path, capsys):
+        spec = tmp_path / "one.txt"
+        spec.write_text("layer only 4096 4096 attn_k 1\n")
+        out = tmp_path / "plan.csv"
+        for target in (["--bpw", "inf"], ["--bpw", "nan"],
+                       ["--bpw", "0.55", "--gqa-kv", "inf"],
+                       ["--bpw", "0.55", "--gqa-kv", "nan"]):
+            assert run(["plan", "--model-spec", str(spec), *target,
+                        "--out", str(out)]) == 2
+            assert not out.exists()
+            assert "finite" in capsys.readouterr().err
 
     def test_llama2_footprint_printed(self, tmp_path, capsys):
         spec = os.path.join(MODEL_SPEC_DIR, "llama2_7b.txt")
@@ -100,6 +113,26 @@ class TestQuantize:
         _, exact = dualsvid.quantize(stored, 6, r_residual=6, svd="exact")
         assert total == float(f"{randomized.rel_err_total!r}")
         assert total != exact.rel_err_total
+
+    def test_non_finite_bpw_exit_2_no_output(self, rng, tmp_path, capsys):
+        ref = tmp_path / "w.lbm"
+        tensor.save_matrix(rng.standard_normal((16, 12)), ref)
+        out = tmp_path / "w.lbq"
+        for bpw in ("inf", "nan"):
+            assert run(["quantize", "--in", str(ref), "--bpw", bpw,
+                        "--out", str(out)]) == 2
+            assert not out.exists()
+            assert "finite" in capsys.readouterr().err
+
+    def test_zero_dimension_input_exit_2_no_output(self, tmp_path, capsys):
+        ref = tmp_path / "w.lbm"
+        out = tmp_path / "w.lbq"
+        for rows, cols in ((0, 5), (5, 0), (0, 0)):
+            ref.write_bytes(tensor.LBM1_MAGIC + struct.pack("<II", rows, cols))
+            assert run(["quantize", "--in", str(ref), "--bpw", "0.5",
+                        "--out", str(out)]) == 2
+            assert not out.exists()
+            assert "dimensions" in capsys.readouterr().err
 
     def test_missing_input_exit_2(self, tmp_path):
         assert run(["quantize", "--in", str(tmp_path / "none.lbm"),
@@ -167,6 +200,14 @@ class TestEval:
         assert run(["eval", "--lbq", str(lbq), "--ref", str(other),
                     "--out", str(tmp_path / "e.csv")]) == 2
 
+    def test_no_inputs_exit_2_no_output(self, teacher_files, tmp_path):
+        _, ref, lbq = teacher_files
+        out = tmp_path / "e.csv"
+        for n in ("0", "-3"):
+            assert run(["eval", "--lbq", str(lbq), "--ref", str(ref),
+                        "--inputs", n, "--out", str(out)]) == 2
+            assert not out.exists()
+
     def test_residual_not_worse_than_primary_only(self, rng, tmp_path):
         w = rng.standard_normal((64, 64))
         ref = tmp_path / "w.lbm"
@@ -207,6 +248,31 @@ class TestTrain:
                         "--out", str(out), "--curve", str(curve)]) == 0
             curves.append(curve.read_bytes())
         assert curves[0] == curves[1]
+
+    def test_curve_fields_parse_as_floats(self, teacher_files, tmp_path):
+        _, ref, lbq = teacher_files
+        curve = tmp_path / "c.csv"
+        assert run(["train", "--lbq", str(lbq), "--ref", str(ref),
+                    "--steps", "60", "--lr", "1e-3", "--seed", "0",
+                    "--out", str(tmp_path / "t.lbq"), "--curve", str(curve)]) == 0
+        header, *rows = curve.read_text().splitlines()
+        assert header == "step,loss,lr" and len(rows) == 60
+        for row in rows:
+            fields = row.split(",")
+            assert len(fields) == 3
+            for field in fields:
+                float(field)
+
+    def test_bad_lr_exit_2_no_outputs(self, teacher_files, tmp_path, capsys):
+        _, ref, lbq = teacher_files
+        out = tmp_path / "t.lbq"
+        curve = tmp_path / "c.csv"
+        for lr in ("-1", "nan", "inf"):
+            assert run(["train", "--lbq", str(lbq), "--ref", str(ref),
+                        "--steps", "5", "--lr", lr, "--seed", "0",
+                        "--out", str(out), "--curve", str(curve)]) == 2
+            assert not out.exists() and not curve.exists()
+            assert "lr" in capsys.readouterr().err
 
     def test_divergence_exit_3_no_outputs(self, rng, tmp_path):
         big = np.full((16, 16), 1e200)

@@ -67,6 +67,17 @@ class TestForward:
         rel = np.linalg.norm(layer.forward(lay, x) - ref) / np.linalg.norm(ref)
         assert rel < 1e-9
 
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40),
+           st.integers(0, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_matches_effective_weight_over_shapes(self, d_out, d_in, r, r_res,
+                                                  n, seed):
+        rng = np.random.default_rng(seed)
+        lay = random_layer(rng, d_out, d_in, r, residual=r_res > 0,
+                           r_residual=r_res or None)
+        x = rng.standard_normal((n, d_in))
+        ref = x @ layer.effective_weight(lay).T
+        assert np.linalg.norm(layer.forward(lay, x) - ref) <= 1e-9 * np.linalg.norm(ref)
+
     def test_additivity_exact(self, rng):
         lay = random_layer(rng, 9, 11, 4, residual=True, r_residual=2)
         pri_only = LittleBitLayer(d_out=9, d_in=11, primary=lay.primary)

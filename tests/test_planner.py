@@ -40,6 +40,11 @@ class TestRankFormulas:
             planner.rank_for_bpw(4096, 4096, floor, residual=True)
         assert planner.rank_for_bpw(4096, 4096, floor * 1.05, residual=True) >= 1
 
+    def test_non_finite_target_rejected(self):
+        for b in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                planner.rank_for_bpw(4096, 4096, b, residual=True)
+
     def test_low_target_feasible_above_floor(self):
         # 0.03 sits above the 16-bit-scale floor of 0.015625 for 4096^2
         assert planner.rank_for_bpw(4096, 4096, 0.03, residual=True) == 15
@@ -170,6 +175,12 @@ class TestPlanModel:
                 r_back = planner.rank_for_bpw(lp.d_out, lp.d_in, lp.achieved_b,
                                               plan.residual)
                 assert abs(r_back - lp.rank) <= 1
+
+    def test_non_finite_gqa_multiplier_rejected(self):
+        spec = planner.parse_model_spec(LLAMA2_7B)
+        for m in (float("inf"), float("nan"), 0.5):
+            with pytest.raises(ValueError, match="gqa_kv_multiplier"):
+                planner.plan_model(spec, 0.3, gqa_kv_multiplier=m)
 
     def test_infeasible_layers_named(self):
         text = "layer tiny 32 32 other 1\nlayer big 4096 4096 other 1"

@@ -1,5 +1,6 @@
 import os
 import stat
+import struct
 
 import numpy as np
 import pytest
@@ -253,6 +254,15 @@ class TestLbm1:
         p.write_bytes(b"")
         with pytest.raises(FormatError, match="truncated"):
             tensor.load_matrix(p)
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        p = tmp_path / "empty.lbm"
+        for rows, cols in ((0, 4), (4, 0)):
+            p.write_bytes(tensor.LBM1_MAGIC + struct.pack("<II", rows, cols))
+            with pytest.raises(FormatError, match="dimensions"):
+                tensor.load_matrix(p)
+            with pytest.raises(ValueError, match="zero dimension"):
+                tensor.save_matrix(np.zeros((rows, cols)), p)
 
     def test_truncated_payload(self, rng, tmp_path):
         p = tmp_path / "trunc.lbm"
