@@ -4,6 +4,13 @@
 Fixtures record seeded runs and are compared byte-for-byte by the test
 suite, so regenerate only when the algorithms intentionally change
 (results depend on the local BLAS build for the SVD-heavy sweeps).
+
+    python3 scripts/regen_fixtures.py                      # every fixture
+    python3 scripts/regen_fixtures.py train_curve lemma1   # only these
+
+Names: train_curve, surrogate_compare, lemma1, theorem1,
+residual_ablation_256, residual_ablation_768. A named run writes only
+the named files.
 """
 
 import os
@@ -30,19 +37,26 @@ def write(name: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def training_fixture():
+def training_setup():
     rng = tensor.seeded_rng(TRAIN_TEACHER_SEED)
     teacher = tensor.gaussian_matrix(rng, *TRAIN_SHAPE)
     rank = planner.rank_for_bpw(*TRAIN_SHAPE, TRAIN_BPW, residual=False)
     lay, _ = dualsvid.quantize(teacher, rank, residual=False)
+    return lay, teacher
 
+
+def train_curve():
+    lay, teacher = training_setup()
     _, curve = qat.train(lay, teacher, TRAIN_CFG, qat.SurrogateSpec("smoothsign", 100.0))
     ratio = curve[-1].loss / curve[0].loss
-    print(f"train fixture: rank {rank}, loss ratio {ratio:.4f}")
+    print(f"train fixture: rank {lay.primary.rank}, loss ratio {ratio:.4f}")
     assert ratio <= 0.7, "training fixture must reach the 0.7x target"
     write("train_curve_256x256_bpw0.3_nores_teacher42_seed0.csv",
           qat.curve_to_csv(curve))
 
+
+def surrogate_compare():
+    lay, teacher = training_setup()
     rows = ["surrogate,init_loss,final_loss"]
     for kind in ("smoothsign", "ste"):
         _, c = qat.train(lay, teacher, TRAIN_CFG, qat.SurrogateSpec(kind, 100.0))
@@ -52,10 +66,12 @@ def training_fixture():
           "\n".join(rows) + "\n")
 
 
-def sweep_fixtures():
+def lemma1():
     res = experiments.error_vs_rank_sweep()
     write("lemma1_64x64_trials20_seed7.csv", res.to_csv())
 
+
+def theorem1():
     res = experiments.two_stage_probe()
     err_s = np.mean([r[1] for r in res.rows])
     err_t = np.mean([r[2] for r in res.rows])
@@ -64,19 +80,33 @@ def sweep_fixtures():
           f"two-stage wins {wins}/{len(res.rows)}")
     write("theorem1_64x64_r8r8_trials100_seed123.csv", res.to_csv())
 
+
+def residual_ablation_256():
     res = experiments.residual_ablation()
     write("residual_ablation_256x256_seed5.csv", res.to_csv())
     for row in res.rows:
         print("  ablation:", row)
 
+
+def residual_ablation_768():
     res = experiments.residual_ablation(shape=(768, 768), bpws=(0.1,))
     write("residual_ablation_768x768_seed5.csv", res.to_csv())
     for row in res.rows:
         print("  ablation 768:", row)
 
 
+FIXTURES = {f.__name__: f for f in (train_curve, surrogate_compare, lemma1,
+                                    theorem1, residual_ablation_256,
+                                    residual_ablation_768)}
+
+
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(FIXTURES)
+    unknown = [n for n in names if n not in FIXTURES]
+    if unknown:
+        sys.exit(f"unknown fixture(s) {', '.join(unknown)}; "
+                 f"choose from {', '.join(FIXTURES)}")
     os.makedirs(OUT_DIR, exist_ok=True)
-    training_fixture()
-    sweep_fixtures()
+    for name in names:
+        FIXTURES[name]()
     print("done")

@@ -46,10 +46,13 @@ def split_factors(svd: SvdResult) -> tuple[np.ndarray, np.ndarray]:
     return svd.u * root, svd.v * root
 
 
-def init_path(w, r: int, svd: str = "exact") -> tuple[QuantPath, InitReport]:
+def init_path(w, r: int, svd: str = "exact",
+              ) -> tuple[QuantPath, InitReport, np.ndarray]:
     """Initialize one scaled-binary path of rank *r* from a dense matrix.
 
     *svd* is the ``tensor.truncated_svd`` method for the top-r triplets.
+    Returns the path, its error report and the residual W - W_hat_path
+    the report measures, which a residual path is fit to.
     """
     w = as_matrix(w, "w")
     require_finite(w, "w")
@@ -69,7 +72,8 @@ def init_path(w, r: int, svd: str = "exact") -> tuple[QuantPath, InitReport]:
         g=v_fit.left,
         ell=u_fit.right * v_fit.right,
     )
-    err = float(np.linalg.norm(w - path_effective_weight(path)))
+    w_res = w - path_effective_weight(path)
+    err = float(np.linalg.norm(w_res))
     report = InitReport(
         frob_err_primary=err,
         frob_err_total=err,
@@ -77,7 +81,7 @@ def init_path(w, r: int, svd: str = "exact") -> tuple[QuantPath, InitReport]:
         rel_err_total=err / w_norm,
         rank_used=r,
     )
-    return path, report
+    return path, report, w_res
 
 
 def _zero_residual_path(d_out: int, d_in: int, r: int) -> QuantPath:
@@ -108,7 +112,7 @@ def quantize(w, r_primary: int, residual: bool = True,
     """
     w = as_matrix(w, "w")
     d_out, d_in = w.shape
-    primary, prim_report = init_path(w, r_primary, svd=svd)
+    primary, prim_report, w_res = init_path(w, r_primary, svd=svd)
     if not residual:
         layer = LittleBitLayer(d_out=d_out, d_in=d_in, primary=primary)
         return layer, prim_report
@@ -124,8 +128,7 @@ def quantize(w, r_primary: int, residual: bool = True,
         res_path = _zero_residual_path(d_out, d_in, r_residual)
         err_total = err_primary
     else:
-        w_res = w - path_effective_weight(primary)
-        res_path, res_report = init_path(w_res, r_residual, svd=svd)
+        res_path, res_report, _ = init_path(w_res, r_residual, svd=svd)
         err_total = res_report.frob_err_primary
         if err_total > err_primary:
             res_path.ell = np.zeros(r_residual)

@@ -248,10 +248,11 @@ def _read_path(rd: _Reader, d_out: int, d_in: int, r: int,
 
     def read_scales(n):
         raw = rd.take(n * scale_width)
-        v = np.frombuffer(raw, dtype=scale_dtype).astype(np.float64)
+        v = np.frombuffer(raw, dtype=scale_dtype)
+        # checked before widening: casting a signalling NaN warns
         if not np.all(np.isfinite(v)):
             raise FormatError(f"{rd.path}: non-finite scale values")
-        return v
+        return v.astype(np.float64)
 
     u_sign = read_factor(d_out)
     v_sign = read_factor(d_in)

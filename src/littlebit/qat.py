@@ -12,10 +12,12 @@ error between student and teacher outputs on a small seeded calibration
 set that is cycled epoch-style, as in quantization-aware training with a
 finite training set.
 
-Internally the trainer evaluates the student through the materialized
-effective weight of the current parameters. This makes a layer whose
-teacher equals its own effective weight an exact fixed point (zero loss,
-zero gradients, no optimizer drift).
+The trainer forms the dense effective weight of the current parameters
+only to evaluate the student's output error ``diff`` and the loss. This
+makes a layer whose teacher equals its own effective weight an exact
+fixed point (zero loss, zero gradients, no optimizer drift). Gradients
+are never taken through the dense weight: each one is a product of
+``diff`` with batch x rank factors, at O(batch (d_out + d_in) r) per path.
 """
 
 from __future__ import annotations
@@ -198,18 +200,21 @@ def loss_and_grads(tl: TrainableLayer, x, y_teacher, spec: SurrogateSpec,
     with np.errstate(over="ignore"):
         diff = x @ w_total.T - y_teacher
         loss = float(np.mean(diff * diff))
-        dw = (2.0 / diff.size) * (diff.T @ x)    # dL/dW_hat, (d_out, d_in)
+        dz = (2.0 / diff.size) * diff                # dL/dy, (batch, d_out)
 
+    # Factored chain rule: every product below is batch x (d_out + d_in) x r.
     grads = []
     with np.errstate(over="ignore", invalid="ignore"):
         for p, (su, dsu, sv, dsv) in zip(tl.paths, factors):
-            m = (su * p.ell) @ sv.T                  # W_hat without h, g
-            dh = np.sum(dw * (m * p.g[None, :]), axis=1)
-            dg = np.sum(dw * (p.h[:, None] * m), axis=0)
-            a = (p.h[:, None] * dw) * p.g[None, :]   # diag(h) dW diag(g)
-            d_su = (a @ sv) * p.ell
-            d_sv = (a.T @ su) * p.ell
-            dell = np.sum((su.T @ a) * sv.T, axis=1)
+            xg = x * p.g
+            dzh = dz * p.h
+            t = xg @ sv                              # (batch, r)
+            q = dzh @ su                             # (batch, r)
+            dh = np.sum(dz * ((t * p.ell) @ su.T), axis=0)
+            dg = np.sum(x * ((q * p.ell) @ sv.T), axis=0)
+            d_su = (dzh.T @ t) * p.ell
+            d_sv = (xg.T @ q) * p.ell
+            dell = np.sum(q * t, axis=0)
             grads.append(TrainablePath(u_latent=d_su * dsu, v_latent=d_sv * dsv,
                                        h=dh, g=dg, ell=dell))
     return loss, grads

@@ -244,7 +244,7 @@ def load_matrix(path) -> np.ndarray:
         raise FormatError(
             f"{path}: payload length {len(raw)} != expected {expected}")
     data = np.frombuffer(raw, dtype="<f4", offset=_LBM1_HEADER.size)
-    m = data.astype(np.float64).reshape(rows, cols)
-    if not np.all(np.isfinite(m)):
+    # checked before widening: casting a signalling NaN warns
+    if not np.all(np.isfinite(data)):
         raise FormatError(f"{path}: non-finite entries")
-    return m
+    return data.astype(np.float64).reshape(rows, cols)

@@ -1,5 +1,6 @@
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,31 @@ class TestEval:
         tensor.save_matrix(rng.standard_normal((4, 4)), other)
         assert run(["eval", "--lbq", str(lbq), "--ref", str(other),
                     "--out", str(tmp_path / "e.csv")]) == 2
+
+    def test_signalling_nan_exit_2_under_warnings_as_errors(self, teacher_files,
+                                                           tmp_path):
+        # a float32 signalling NaN (bits 0x7f800001) warns when widened
+        snan = struct.pack("<I", 0x7F800001)
+        _, ref, lbq = teacher_files
+        # the primary h[0] of the 96 x 80 rank-6 file: after the 24-byte
+        # header and one sign word per row of U and V
+        h0 = 24 + (96 + 80) * 8
+        bad_lbq = tmp_path / "snan.lbq"
+        raw = bytearray(lbq.read_bytes())
+        raw[h0:h0 + 4] = snan
+        bad_lbq.write_bytes(bytes(raw))
+        # the first entry of the reference, after the 12-byte LBM1 header
+        bad_ref = tmp_path / "snan.lbm"
+        raw = bytearray(ref.read_bytes())
+        raw[12:16] = snan
+        bad_ref.write_bytes(bytes(raw))
+        out = tmp_path / "e.csv"
+        for q, r in ((bad_lbq, ref), (lbq, bad_ref)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(["eval", "--lbq", str(q), "--ref", str(r),
+                            "--out", str(out)]) == 2
+            assert not out.exists()
 
     def test_no_inputs_exit_2_no_output(self, teacher_files, tmp_path):
         _, ref, lbq = teacher_files

@@ -36,23 +36,23 @@ class TestSplitFactors:
 class TestInitPath:
     def test_exact_recovery_scaled_sign_rank1(self, rng):
         w = scaled_sign_rank1(rng, 8, 6)
-        path, report = dualsvid.init_path(w, 1)
+        _, report, _ = dualsvid.init_path(w, 1)
         assert report.rel_err_primary < 1e-10
 
     def test_plain_sign_outer_product(self, rng):
         u = np.where(rng.standard_normal(8) >= 0, 1.0, -1.0)
         v = np.where(rng.standard_normal(6) >= 0, 1.0, -1.0)
         w = 3.0 * np.outer(u, v)
-        _, report = dualsvid.init_path(w, 1)
+        _, report, _ = dualsvid.init_path(w, 1)
         assert report.rel_err_primary < 1e-10
 
     def test_identity2_best_rank1(self):
-        _, report = dualsvid.init_path(np.eye(2), 1)
+        _, report, _ = dualsvid.init_path(np.eye(2), 1)
         assert abs(report.rel_err_primary - 1 / np.sqrt(2)) < 1e-9
 
     def test_sign_fidelity(self, rng):
         w = rng.standard_normal((14, 11))
-        path, _ = dualsvid.init_path(w, 4)
+        path, _, _ = dualsvid.init_path(w, 4)
         up, vp = dualsvid.split_factors(tensor.truncated_svd(w, 4))
         assert np.array_equal(bitpack.unpack(path.u_sign),
                               np.where(up >= 0, 1.0, -1.0))
@@ -61,7 +61,7 @@ class TestInitPath:
 
     def test_magnitude_fit_optimality(self, rng):
         w = rng.standard_normal((16, 12))
-        path, _ = dualsvid.init_path(w, 3)
+        path, _, _ = dualsvid.init_path(w, 3)
         up, _ = dualsvid.split_factors(tensor.truncated_svd(w, 3))
         mag = np.abs(up)
         fit = tensor.rank1_nonneg(mag)
@@ -69,6 +69,12 @@ class TestInitPath:
         s = np.linalg.svd(mag, compute_uv=False)
         best = np.sqrt(max(np.sum(s[1:] ** 2), 0.0))
         assert err <= best + 1e-8
+
+    def test_returns_the_residual_it_measures(self, rng):
+        w = rng.standard_normal((14, 11))
+        path, report, w_res = dualsvid.init_path(w, 3)
+        assert np.array_equal(w_res, w - path_effective_weight(path))
+        assert report.frob_err_primary == float(np.linalg.norm(w_res))
 
     def test_rank_sweep_runs(self, rng):
         w = rng.standard_normal((64, 64))
@@ -119,7 +125,7 @@ class TestQuantize:
         rng = np.random.default_rng(2762)
         w = rng.standard_normal((5, 4)) * np.exp(2 * rng.standard_normal((5, 4)))
         lay, report = dualsvid.quantize(w, 2, residual=True, r_residual=2)
-        _, fit = dualsvid.init_path(w - path_effective_weight(lay.primary), 2)
+        _, fit, _ = dualsvid.init_path(w - path_effective_weight(lay.primary), 2)
         assert fit.frob_err_primary > 1.04 * report.frob_err_primary
         assert np.all(lay.residual.ell == 0)
         assert report.frob_err_total == report.frob_err_primary

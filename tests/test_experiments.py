@@ -96,6 +96,19 @@ class TestResidualAblation:
         assert lines[0] == "bpw,arm,rank,measured_bpw,init_loss,final_loss"
         assert len(lines) == 3
 
+    def test_low_budget_fixture_values(self):
+        # the losses depend on the BLAS build in their last digits, so they
+        # are compared at rel 1e-12; the arm labels and ranks exactly
+        res = experiments.residual_ablation(shape=(768, 768), bpws=(0.1,))
+        with open(fixture_path("residual_ablation_768x768_seed5.csv")) as f:
+            recorded = [line.split(",") for line in f.read().splitlines()[1:]]
+        assert len(res.rows) == len(recorded)
+        for row, rec in zip(res.rows, recorded):
+            bpw, arm, rank, *floats = row
+            assert (repr(bpw), arm, str(rank)) == tuple(rec[:3])
+            assert floats == pytest.approx([float(v) for v in rec[3:]],
+                                           rel=1e-12, abs=0)
+
 
 class TestGemvBench:
     def test_small_bench_structure(self):

@@ -276,6 +276,27 @@ class TestLbqFormat:
         with pytest.raises(FormatError):
             layer.load_lbq(p)
 
+    def test_residual_rank_without_flag(self, rng, tmp_path):
+        # a complete primary-only file that declares r_residual = 2
+        p = tmp_path / "r.lbq"
+        layer.save_lbq(random_layer(rng, 6, 6, 2), p)
+        raw = bytearray(p.read_bytes())
+        raw[20:24] = (2).to_bytes(4, "little")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="residual flag"):
+            layer.load_lbq(p)
+
+    def test_residual_flag_without_rank(self, rng, tmp_path):
+        # flag set, r_residual = 0, followed by the h and g a rank-0
+        # residual path would hold, so every length adds up
+        p = tmp_path / "f0.lbq"
+        layer.save_lbq(random_layer(rng, 6, 5, 2), p)
+        raw = bytearray(p.read_bytes())
+        raw[6] |= 0x1
+        p.write_bytes(bytes(raw) + np.ones(6 + 5, dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match="residual flag"):
+            layer.load_lbq(p)
+
     def test_shape_validation(self, rng):
         p = random_path(rng, 5, 6, 2)
         with pytest.raises(ValueError):

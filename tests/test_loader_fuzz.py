@@ -1,9 +1,12 @@
 """Loader fuzzing: any byte string given to ``load_lbq`` or ``load_matrix``
 yields a value or ``FormatError``, nothing else. Inputs are random headers
 (valid magic or not, small or any 32-bit dimensions) with random payloads,
-and valid files with bytes overwritten, cut short or appended."""
+and valid files with bytes overwritten, cut short or appended. Warnings
+are errors here: a warning escapes the CLI's exit-2 handler under
+``-W error``."""
 
 import struct
+import warnings
 
 import numpy as np
 from hypothesis import example, given, strategies as st
@@ -18,6 +21,8 @@ LBM1_HEADER = struct.Struct("<4sII")
 
 dims = st.integers(0, 9) | st.integers(0, 2**32 - 1)
 payloads = st.binary(max_size=512)
+# float32 signalling NaN (bits 0x7f800001), little-endian: casting it warns
+SNAN_F32 = [0x01, 0x00, 0x80, 0x7F]
 # byte values that make fp16/fp32 infinities and NaNs or clear and set flags
 edit_bytes = st.sampled_from([0x00, 0x04, 0x7C, 0x7F, 0x80, 0xFF]) | st.integers(0, 255)
 edits = st.lists(st.tuples(st.integers(0, 2**16), edit_bytes), max_size=4)
@@ -39,7 +44,9 @@ def load(loader, tmp_path_factory, raw: bytes):
     path = tmp_path_factory.mktemp("fuzz") / "f"
     path.write_bytes(raw)
     try:
-        return loader(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return loader(path)
     except FormatError:
         return None
 
@@ -99,6 +106,8 @@ class TestLoadLbq:
              edit_list=[(6, 0x04)], cut=None, tail=b"")
     @example(d_out=1, d_in=1, r=1, r_res=0, fp16=False, seed=0,
              edit_list=[(42, 0xFF), (43, 0x7F)], cut=None, tail=b"")
+    @example(d_out=1, d_in=1, r=1, r_res=0, fp16=False, seed=0,
+             edit_list=list(enumerate(SNAN_F32, 40)), cut=None, tail=b"")
     def test_mutated_valid_files(self, tmp_path_factory, d_out, d_in, r,
                                  r_res, fp16, seed, edit_list, cut, tail):
         lay = random_layer(np.random.default_rng(seed), d_out, d_in, r,
@@ -119,6 +128,8 @@ class TestLoadMatrix:
            edits, cuts, tails)
     # a 1x1 file whose one entry, at bytes 12-15, becomes a NaN
     @example(rows=1, cols=1, seed=0, edit_list=[(14, 0xFF), (15, 0x7F)],
+             cut=None, tail=b"")
+    @example(rows=1, cols=1, seed=0, edit_list=list(enumerate(SNAN_F32, 12)),
              cut=None, tail=b"")
     def test_mutated_valid_files(self, tmp_path_factory, rows, cols, seed,
                                  edit_list, cut, tail):

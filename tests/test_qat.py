@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from littlebit import dualsvid, layer, qat
+from littlebit import bitpack, dualsvid, layer, qat
 from littlebit.errors import DivergenceError
 from conftest import fd_gradient_gap, random_layer
 
@@ -113,6 +114,67 @@ class TestGradients:
         with pytest.raises(ValueError):
             qat.loss_and_grads(tl, np.zeros((2, 3)), np.zeros((3, 4)),
                                qat.SurrogateSpec())
+
+
+def dense_loss_and_grads(tl, x, yt, spec, smooth):
+    """Reference: every gradient taken through the dense dL/dW_hat, one
+    d_out x d_in product per term, as the trainer did before its
+    gradients were factored."""
+    factors = []
+    w_total = np.zeros((tl.d_out, tl.d_in))
+    for p in tl.paths:
+        pair = []
+        for lat in (p.u_latent, p.v_latent):
+            if smooth:
+                t = np.tanh(spec.k * lat)
+                pair.append((t, spec.k * (1.0 - t * t)))
+            else:
+                pair.append((bitpack.sign(lat), qat.surrogate_backward(lat, spec)))
+        (su, dsu), (sv, dsv) = pair
+        factors.append((su, dsu, sv, dsv))
+        w_total = w_total + layer.scaled_product(p.h, su, p.ell, sv, p.g)
+    diff = x @ w_total.T - yt
+    loss = float(np.mean(diff * diff))
+    dw = (2.0 / diff.size) * (diff.T @ x)
+    grads = []
+    for p, (su, dsu, sv, dsv) in zip(tl.paths, factors):
+        m = (su * p.ell) @ sv.T
+        a = (p.h[:, None] * dw) * p.g[None, :]
+        grads.append(qat.TrainablePath(
+            u_latent=(a @ sv) * p.ell * dsu, v_latent=(a.T @ su) * p.ell * dsv,
+            h=np.sum(dw * (m * p.g[None, :]), axis=1),
+            g=np.sum(dw * (p.h[:, None] * m), axis=0),
+            ell=np.sum((su.T @ a) * sv.T, axis=1)))
+    return loss, grads
+
+
+class TestFactoredGradients:
+    @given(st.integers(1, 24), st.integers(1, 24), st.integers(1, 8),
+           st.integers(1, 24), st.integers(0, 24), st.booleans(),
+           st.sampled_from(qat.SURROGATE_KINDS), st.integers(0, 2**32 - 1))
+    def test_match_dense_reference(self, d_out, d_in, batch, r, r_res, smooth,
+                                   kind, seed):
+        rng = np.random.default_rng(seed)
+        ranks = [min(r, d_out, d_in)] + ([min(r_res, d_out, d_in)] if r_res else [])
+        # latents at the magnitude make_trainable gives them, so the
+        # SmoothSign derivative is alive; scales of both signs
+        tl = qat.TrainableLayer(d_out=d_out, d_in=d_in, paths=[
+            qat.TrainablePath(u_latent=0.02 * rng.standard_normal((d_out, k)),
+                              v_latent=0.02 * rng.standard_normal((d_in, k)),
+                              h=rng.standard_normal(d_out),
+                              g=rng.standard_normal(d_in),
+                              ell=rng.standard_normal(k))
+            for k in ranks])
+        x = rng.standard_normal((batch, d_in))
+        yt = rng.standard_normal((batch, d_out))
+        spec = qat.SurrogateSpec(kind, 100.0)
+        loss, grads = qat.loss_and_grads(tl, x, yt, spec, smooth=smooth)
+        ref_loss, ref_grads = dense_loss_and_grads(tl, x, yt, spec, smooth)
+        assert loss == ref_loss
+        for pg, ref in zip(grads, ref_grads, strict=True):
+            for got, want in zip(pg.params(), ref.params(), strict=True):
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestTrain:
