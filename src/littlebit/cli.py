@@ -1,7 +1,9 @@
 """Command-line interface: plan, quantize, eval, train, bench, sweep.
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad files, shape
-mismatches, infeasible targets), 3 numeric failure (training divergence).
+mismatches, infeasible targets), 3 numeric failure (training divergence),
+4 the GEMV kernel could not be built (no C compiler, a failed compile, or
+an unusable cache directory; only ``eval`` and ``bench`` run the kernel).
 All file outputs are written to a temp file and atomically renamed, so a
 failed or interrupted command never leaves a partial artifact behind.
 """
@@ -15,7 +17,8 @@ import numpy as np
 
 from . import experiments, planner, qat
 from .dualsvid import quantize
-from .errors import DivergenceError, FormatError, InfeasibleError
+from .errors import (DivergenceError, FormatError, InfeasibleError,
+                     KernelBuildError)
 from .layer import (effective_weight, forward, load_lbq, measured_bpw,
                     save_lbq)
 from .tensor import atomic_write, load_matrix, seeded_rng
@@ -24,6 +27,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_KERNEL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -240,6 +244,9 @@ def main(argv=None) -> int:
     except DivergenceError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except KernelBuildError as e:
+        print(f"kernel build failed: {e}", file=sys.stderr)
+        return EXIT_KERNEL
     except (FormatError, InfeasibleError, FileNotFoundError, IsADirectoryError,
             PermissionError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -17,3 +17,8 @@ class InfeasibleError(LittleBitError):
 
 class DivergenceError(LittleBitError):
     """Training produced a non-finite loss."""
+
+
+class KernelBuildError(LittleBitError):
+    """The C GEMV kernel could not be built or loaded: no compiler, a
+    failed compile, or an unusable cache directory."""

@@ -234,7 +234,7 @@ def gemv_bench(d_out: int, d_in: int, ranks: Sequence[int],
             ell = np.abs(rng.standard_normal(r)) + 0.1
             lay = LittleBitLayer(d_out=d_out, d_in=d_in, primary=QuantPath(
                 u_sign=uf, v_sign=vf, h=h, g=g, ell=ell))
-            rows.append((d_out, d_in, "packed-fallback", r,
+            rows.append((d_out, d_in, "packed-" + bitpack.kernel_backend(), r,
                          _median_ns(lambda: forward(lay, x), repeats, warmup),
                          repeats, 0.0))
             del vf, uf, lay

@@ -102,7 +102,8 @@ def scaled_product(h: np.ndarray, su: np.ndarray, ell: np.ndarray,
 
 def path_effective_weight(p: QuantPath) -> np.ndarray:
     """Dense diag(h) U_sign diag(ell) V_sign.T diag(g), shape d_out x d_in."""
-    return scaled_product(p.h, p.u_sign.dense(), p.ell, p.v_sign.dense(), p.g)
+    return scaled_product(p.h, bitpack.unpack(p.u_sign), p.ell,
+                          bitpack.unpack(p.v_sign), p.g)
 
 
 def effective_weight(layer: LittleBitLayer) -> np.ndarray:
@@ -114,26 +115,23 @@ def effective_weight(layer: LittleBitLayer) -> np.ndarray:
     return w
 
 
-def _forward_path_row(p: QuantPath, row: np.ndarray) -> np.ndarray:
-    t = bitpack.gemv_right(row * p.g, p.v_sign)
-    u = bitpack.gemv_left(t * p.ell, p.u_sign)
-    return u * p.h
+def _forward_path(p: QuantPath, x: np.ndarray) -> np.ndarray:
+    t = bitpack.gemv_right(x * p.g, p.v_sign)
+    return bitpack.gemv_left(t * p.ell, p.u_sign) * p.h
 
 
 def forward(layer: LittleBitLayer, x) -> np.ndarray:
     """Batched forward pass y = x @ W_hat.T via the four-stage chain
-    ((x * g) V_sign * ell) U_sign.T * h per path, paths summed."""
+    ((x * g) V_sign * ell) U_sign.T * h per path over the whole batch,
+    paths summed. Each output row depends only on its input row, bit for
+    bit, whatever the batch size."""
     x = as_matrix(x, "x")
     if x.shape[1] != layer.d_in:
         raise ValueError(f"x has {x.shape[1]} columns, layer d_in={layer.d_in}")
-    out = np.empty((x.shape[0], layer.d_out), dtype=np.float64)
-    for i in range(x.shape[0]):
-        row = x[i]
-        y = _forward_path_row(layer.primary, row)
-        if layer.residual is not None:
-            y = y + _forward_path_row(layer.residual, row)
-        out[i] = y
-    return out
+    y = _forward_path(layer.primary, x)
+    if layer.residual is not None:
+        y += _forward_path(layer.residual, x)
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,8 @@ def make_trainable(layer: LittleBitLayer,
     magnitude *eps_init* (kept small so the SmoothSign derivative stays
     alive), scales are copies."""
     return TrainableLayer(d_out=layer.d_out, d_in=layer.d_in, paths=[
-        TrainablePath(u_latent=p.u_sign.dense() * eps_init,
-                      v_latent=p.v_sign.dense() * eps_init,
+        TrainablePath(u_latent=bitpack.unpack(p.u_sign) * eps_init,
+                      v_latent=bitpack.unpack(p.v_sign) * eps_init,
                       h=p.h.copy(), g=p.g.copy(), ell=p.ell.copy())
         for p in layer.paths()])
 
@@ -188,13 +188,16 @@ def loss_and_grads(tl: TrainableLayer, x, y_teacher, spec: SurrogateSpec,
         raise ValueError("y_teacher shape does not match (seq, d_out)")
 
     factors = []
-    w_total = np.zeros((tl.d_out, tl.d_in))
+    w_total = None
     for p in tl.paths:
         su, dsu = _binarize(p.u_latent, spec, smooth)
         sv, dsv = _binarize(p.v_latent, spec, smooth)
         w_path = scaled_product(p.h, su, p.ell, sv, p.g)
         factors.append((su, dsu, sv, dsv))
-        w_total = w_total + w_path
+        if w_total is None:
+            w_total = w_path
+        else:
+            w_total += w_path
 
     # overflow here means divergence; the caller's finite check handles it
     with np.errstate(over="ignore"):

@@ -175,7 +175,7 @@ def test_11_latency_trend():
                        ">=1.5x vs dense float32 at rank 320"):
         ranks = (3072, 1664, 896, 320)
         res = experiments.gemv_bench(4096, 11008, ranks, repeats=30)
-        backend = "packed-fallback"
+        backend = "packed-" + bitpack.kernel_backend()
         medians = {row[3]: row[4] for row in res.rows if row[2] == backend}
         times = [medians[r] for r in ranks]
         assert all(a > b for a, b in zip(times, times[1:])), times

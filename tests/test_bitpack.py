@@ -1,9 +1,13 @@
+import re
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from littlebit import bitpack
+from littlebit.errors import KernelBuildError
 from conftest import naive_gemv_left, naive_gemv_right, random_signs
 
 
@@ -142,6 +146,105 @@ class TestSign:
         assert np.array_equal(bitpack.unpack(bitpack.pack(s)), s)
 
 
+class TestBatchedKernel:
+    @given(st.integers(1, 40), st.integers(1, 300), st.integers(1, 70),
+           st.integers(0, 2**32 - 1))
+    @example(3, 7, 5, 0)
+    @example(2, 64, 9, 1)
+    @example(40, 300, 70, 2)
+    @example(1, 129, 1, 3)
+    def test_matches_elementwise_oracle(self, batch, n, m, seed):
+        # the oracle of acceptance 03, row by row of the batch
+        rng = np.random.default_rng(seed)
+        s = random_signs(rng, m, n)          # gemv_left contracts n
+        t = random_signs(rng, n, m)          # gemv_right contracts n
+        z = rng.standard_normal((batch, n))
+        left = bitpack.gemv_left(z, bitpack.pack(s))
+        right = bitpack.gemv_right(z, bitpack.pack(t))
+        assert left.shape == right.shape == (batch, m)
+        for b in range(batch):
+            assert np.max(np.abs(left[b] - (s * z[b]).sum(axis=1))) < 1e-10
+            assert np.max(np.abs(right[b] - (z[b][:, None] * t).sum(axis=0))) < 1e-10
+
+    @given(st.integers(1, 300), st.integers(1, 200), st.integers(0, 2**32 - 1))
+    @example(8, 64, 0)
+    @example(65, 1, 1)
+    @example(300, 129, 2)
+    def test_transpose_is_pack_of_unpacked_transpose(self, rows, cols, seed):
+        f = bitpack.pack(random_signs(np.random.default_rng(seed), rows, cols))
+        t = f.transposed()
+        assert t.shape == (cols, rows)
+        assert np.array_equal(t.words, bitpack.pack(bitpack.unpack(f).T).words)
+        assert f.transposed() is t
+
+    def test_transpose_across_row_blocks(self, rng, monkeypatch):
+        monkeypatch.setattr(bitpack, "_TRANSPOSE_ROWS", 64)
+        f = bitpack.pack(random_signs(rng, 200, 70))
+        assert np.array_equal(f.transposed().words,
+                              bitpack.pack(bitpack.unpack(f).T).words)
+
+    def test_empty_batch(self, rng):
+        f = bitpack.pack(random_signs(rng, 6, 9))
+        assert bitpack.gemv_left(np.zeros((0, 9)), f).shape == (0, 6)
+        assert bitpack.gemv_right(np.zeros((0, 6)), f).shape == (0, 9)
+
+    def test_rejects_wrong_rank_input(self, rng):
+        f = bitpack.pack(random_signs(rng, 4, 6))
+        with pytest.raises(ValueError):
+            bitpack.gemv_left(np.zeros((2, 3, 6)), f)
+        with pytest.raises(ValueError):
+            bitpack.gemv_right(np.zeros((2, 6)), f)
+
+
+class TestKernelBuild:
+    @pytest.fixture
+    def fresh(self, monkeypatch, tmp_path):
+        """A cache directory under tmp_path and no kernel loaded yet."""
+        cache = tmp_path / "cache" / "littlebit"
+        monkeypatch.setattr(bitpack, "CACHE_DIR", cache)
+        monkeypatch.setattr(bitpack, "_gemv", None)
+        return cache
+
+    def test_cache_dir_created_private(self, fresh):
+        bitpack.gemv_left(np.ones(3), bitpack.pack(np.ones((2, 3))))
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o700
+        assert len(list(fresh.glob("lutgemv-*.so"))) == 1
+        assert not list(fresh.glob(".tmp-*"))
+
+    def test_cached_build_reused_without_compiler(self, fresh, monkeypatch):
+        f = bitpack.pack(np.array([[1.0, -1.0, 1.0]]))
+        assert np.array_equal(bitpack.gemv_left([1.0, 2.0, 4.0], f), [3.0])
+        monkeypatch.setattr(bitpack, "_gemv", None)
+        monkeypatch.setattr(bitpack, "CC", (str(fresh / "no-such-cc"),))
+        assert np.array_equal(bitpack.gemv_left([1.0, 2.0, 4.0], f), [3.0])
+
+    def test_missing_compiler_names_command(self, fresh, monkeypatch):
+        missing = str(fresh.parent / "no-such-cc")
+        monkeypatch.setattr(bitpack, "CC", (missing,))
+        with pytest.raises(KernelBuildError, match="no-such-cc"):
+            bitpack.gemv_left(np.ones(3), bitpack.pack(np.ones((2, 3))))
+        assert not list(fresh.iterdir())
+
+    def test_failed_compile_leaves_nothing(self, fresh, monkeypatch):
+        monkeypatch.setattr(bitpack, "CC", ("false",))
+        with pytest.raises(KernelBuildError, match="compile failed"):
+            bitpack.gemv_left(np.ones(3), bitpack.pack(np.ones((2, 3))))
+        assert not list(fresh.iterdir())
+
+    def test_refuses_cache_dir_writable_by_others(self, fresh):
+        fresh.mkdir(parents=True)
+        fresh.chmod(0o777)
+        with pytest.raises(KernelBuildError, match=re.escape(str(fresh))):
+            bitpack.gemv_left(np.ones(3), bitpack.pack(np.ones((2, 3))))
+
+    def test_unwritable_cache_dir_names_path(self, fresh):
+        blocker = fresh.parent
+        blocker.parent.mkdir(parents=True, exist_ok=True)
+        blocker.write_text("a file where the directory should be")
+        with pytest.raises(KernelBuildError, match=re.escape(str(fresh))):
+            bitpack.gemv_left(np.ones(3), bitpack.pack(np.ones((2, 3))))
+
+
 class TestBackends:
     def test_backend_reported(self):
-        assert bitpack.kernel_backend() in ("compiled", "fallback")
+        assert bitpack.kernel_backend() == "compiled"

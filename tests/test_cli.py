@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from littlebit import cli, dualsvid, layer, tensor
+from littlebit import bitpack, cli, dualsvid, layer, tensor
 from conftest import fixture_path
 
 MODEL_SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "model_specs")
@@ -233,6 +233,33 @@ class TestEval:
             assert run(["eval", "--lbq", str(lbq), "--ref", str(ref),
                         "--inputs", n, "--out", str(out)]) == 2
             assert not out.exists()
+
+    def test_missing_compiler_exit_4_no_output(self, rng, tmp_path,
+                                              monkeypatch, capsys):
+        monkeypatch.setattr(bitpack, "CC", (str(tmp_path / "no-such-cc"),))
+        monkeypatch.setattr(bitpack, "CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr(bitpack, "_gemv", None)
+        ref = tmp_path / "w.lbm"
+        tensor.save_matrix(rng.standard_normal((24, 20)), ref)
+        lbq = tmp_path / "w.lbq"
+        # plan, quantize and train never need the kernel
+        spec = os.path.join(MODEL_SPEC_DIR, "llama2_7b.txt")
+        assert run(["plan", "--model-spec", spec, "--bpw", "0.3",
+                    "--out", str(tmp_path / "plan.csv")]) == 0
+        assert run(["quantize", "--in", str(ref), "--rank", "3",
+                    "--out", str(lbq)]) == 0
+        assert run(["train", "--lbq", str(lbq), "--ref", str(ref), "--steps", "2",
+                    "--lr", "1e-3", "--seed", "0", "--out", str(tmp_path / "t.lbq"),
+                    "--curve", str(tmp_path / "c.csv")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "e.csv"
+        assert run(["eval", "--lbq", str(lbq), "--ref", str(ref),
+                    "--out", str(out)]) == 4
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "no-such-cc" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_residual_not_worse_than_primary_only(self, rng, tmp_path):
         w = rng.standard_normal((64, 64))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from littlebit import experiments, qat
+from littlebit import bitpack, experiments, qat
 from littlebit.errors import InfeasibleError
 from conftest import fixture_path, random_signs
 
@@ -116,7 +116,7 @@ class TestGemvBench:
         assert res.columns[2] == "backend"
         backends = {row[2] for row in res.rows}
         assert "dense-f32" in backends
-        assert "packed-fallback" in backends
+        assert "packed-" + bitpack.kernel_backend() in backends
         dense_rows = [r for r in res.rows if r[2] == "dense-f32"]
         assert len(dense_rows) == 1 and dense_rows[0][6] == 1.0
         for row in res.rows:

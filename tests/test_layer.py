@@ -78,6 +78,22 @@ class TestForward:
         ref = x @ layer.effective_weight(lay).T
         assert np.linalg.norm(layer.forward(lay, x) - ref) <= 1e-9 * np.linalg.norm(ref)
 
+    @given(st.integers(1, 40), st.integers(1, 70), st.integers(1, 40),
+           st.integers(0, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_batch_rows_bit_identical_to_single_rows(self, d_out, d_in, r,
+                                                     r_res, n, seed):
+        rng = np.random.default_rng(seed)
+        lay = random_layer(rng, d_out, d_in, r, residual=r_res > 0,
+                           r_residual=r_res or None)
+        x = rng.standard_normal((n, d_in))
+        y = layer.forward(lay, x)
+        for i in range(n):
+            assert np.array_equal(y[i], layer.forward(lay, x[i:i + 1])[0])
+
+    def test_empty_batch(self, rng):
+        lay = random_layer(rng, 7, 5, 3, residual=True)
+        assert layer.forward(lay, np.zeros((0, 5))).shape == (0, 7)
+
     def test_additivity_exact(self, rng):
         lay = random_layer(rng, 9, 11, 4, residual=True, r_residual=2)
         pri_only = LittleBitLayer(d_out=9, d_in=11, primary=lay.primary)

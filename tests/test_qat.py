@@ -252,7 +252,7 @@ class TestSnapshot:
         tp = qat.TrainablePath(u_latent=np.zeros((2, 1)), v_latent=np.zeros((2, 1)),
                                h=np.ones(2), g=np.ones(2), ell=np.ones(1))
         snap = tp.snapshot()
-        assert np.all(snap.u_sign.dense() == 1.0)
+        assert np.all(bitpack.unpack(snap.u_sign) == 1.0)
 
 
 class TestBaselineScales:
