@@ -108,7 +108,7 @@ class BinaryFactor:
 def sign(a: np.ndarray) -> np.ndarray:
     """Elementwise +/-1 float64 sign with sign(0) -> +1 (-0.0 included), so
     every real matrix maps to one that :func:`pack` accepts."""
-    return np.where(a >= 0, 1.0, -1.0)
+    return (a >= 0) * 2.0 - 1.0
 
 
 def pack(signs) -> BinaryFactor:

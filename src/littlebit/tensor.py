@@ -83,15 +83,48 @@ RSVD_POWER_ITERS = 3
 RSVD_SEED = 0
 
 
+def _orth(y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the columns of a tall *y*.
+
+    CholeskyQR2 (Fukaya et al. 2014, Yamamoto et al. 2015): two passes of
+    Cholesky QR, q = y @ inv(chol(y.T @ y).T), all in GEMMs. The second
+    pass is orthonormal to rounding when the first is within 0.5 of
+    orthonormal (Frobenius norm of q.T @ q - I). Otherwise Householder QR
+    gives the basis: when *y* is rank-deficient or badly conditioned, or
+    so large that its Gram matrix overflows (non-finite values fail the
+    check without a warning).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            q = y @ np.linalg.inv(np.linalg.cholesky(y.T @ y).T)
+            g = q.T @ q
+            if np.linalg.norm(g - np.eye(y.shape[1])) <= 0.5:
+                return q @ np.linalg.inv(np.linalg.cholesky(g).T)
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.qr(y)[0]
+
+
 def _randomized_svd(a: np.ndarray, k: int):
-    """Thin SVD (u, s, vt) of the rank-(k + RSVD_OVERSAMPLE) sketch of *a*."""
+    """SVD of the rank-(k + RSVD_OVERSAMPLE) sketch of *a*: u with k
+    columns, every singular value s of the sketch, and vt with k rows."""
+    if a.shape[0] > a.shape[1]:
+        # keep the basis on the short side: a = (a.T).T; the copy gives
+        # BLAS the layout of a wide input, so a and a.T get equal sigma
+        v, s, ut = _randomized_svd(np.ascontiguousarray(a.T), k)
+        return ut.T, s, v.T
     rng = seeded_rng(RSVD_SEED)
-    q, _ = np.linalg.qr(a @ rng.standard_normal((a.shape[1], k + RSVD_OVERSAMPLE)))
+    q = _orth(a @ rng.standard_normal((a.shape[1], k + RSVD_OVERSAMPLE)))
     for _ in range(RSVD_POWER_ITERS):
-        # one QR per round keeps the basis well conditioned
-        q, _ = np.linalg.qr(a @ (a.T @ q))
-    ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
-    return q @ ub[:, :k], s, vt
+        # one orthonormalization per round keeps the basis well conditioned
+        q = _orth(a @ (a.T @ q))
+    # a.T @ q = qb r with r = qb.T @ a.T @ q small and r = z diag(s) x.T, so
+    # q.T @ a = x diag(s) (qb z).T; this is LAPACK's own route for a tall
+    # SVD, with CholeskyQR2 in place of its Householder QR
+    b = a.T @ q
+    qb = _orth(b)
+    z, s, xt = np.linalg.svd(qb.T @ b)
+    return q @ xt.T[:, :k], s, (qb @ z[:, :k]).T
 
 
 def truncated_svd(a, k: int, method: str = "exact") -> SvdResult:
@@ -119,11 +152,9 @@ def truncated_svd(a, k: int, method: str = "exact") -> SvdResult:
     u = u[:, :k].copy()
     s = s[:k].copy()
     v = vt[:k].T.copy()
-    for i in range(k):
-        j = int(np.argmax(np.abs(u[:, i])))
-        if u[j, i] < 0:
-            u[:, i] = -u[:, i]
-            v[:, i] = -v[:, i]
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(k)] < 0
+    u[:, flip] = -u[:, flip]
+    v[:, flip] = -v[:, flip]
     return SvdResult(u=u, sigma=s, v=v)
 
 

@@ -1,9 +1,11 @@
 import os
 import stat
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from littlebit import tensor
 from littlebit.errors import FormatError
@@ -45,6 +47,19 @@ class TestTruncatedSvd:
             j = np.argmax(np.abs(r1.u[:, i]))
             assert r1.u[j, i] > 0
 
+    def test_sign_convention_matches_the_per_column_loop(self, rng):
+        a = rng.standard_normal((30, 20))
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        u, v = u[:, :7].copy(), vt[:7].T.copy()
+        for i in range(7):
+            j = int(np.argmax(np.abs(u[:, i])))
+            if u[j, i] < 0:
+                u[:, i] = -u[:, i]
+                v[:, i] = -v[:, i]
+        res = tensor.truncated_svd(a, 7)
+        assert np.array_equal(res.u, u) and np.array_equal(res.v, v)
+        assert np.array_equal(res.sigma, s[:7])
+
     def test_rank_out_of_range(self, rng):
         a = rng.standard_normal((5, 4))
         for k in (0, 5):
@@ -68,11 +83,16 @@ class TestTruncatedSvd:
                 assert best <= np.linalg.norm(a - p) + 1e-8
 
 
+def with_singular_values(rng, m, n, s):
+    """An m x n matrix with random singular vectors and singular values s."""
+    u, _ = np.linalg.qr(rng.standard_normal((m, len(s))))
+    v, _ = np.linalg.qr(rng.standard_normal((n, len(s))))
+    return (u * s) @ v.T
+
+
 def decaying_matrix(rng, m, n, decay=1.0):
     """Random singular vectors with singular values (1 + i)^-decay."""
-    u, _ = np.linalg.qr(rng.standard_normal((m, min(m, n))))
-    v, _ = np.linalg.qr(rng.standard_normal((n, min(m, n))))
-    return (u * (1.0 + np.arange(min(m, n))) ** -decay) @ v.T
+    return with_singular_values(rng, m, n, (1.0 + np.arange(min(m, n))) ** -decay)
 
 
 class TestRandomizedSvd:
@@ -115,6 +135,135 @@ class TestRandomizedSvd:
     def test_unknown_method(self, rng):
         with pytest.raises(ValueError, match="method"):
             tensor.truncated_svd(rng.standard_normal((4, 4)), 1, method="lanczos")
+
+
+SPECTRA = ("gaussian", "rank5", "logspace", "single", "zero")
+
+
+def spectrum_matrix(m, n, kind, seed):
+    """An m x n test matrix: Gaussian; exactly rank 5 (or less on a short
+    side); singular values logspace(0, -12); one nonzero entry; or zero."""
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return rng.standard_normal((m, n))
+    if kind == "rank5":
+        return rng.standard_normal((m, 5)) @ rng.standard_normal((5, n))
+    if kind == "logspace":
+        return with_singular_values(rng, m, n, np.logspace(0, -12, min(m, n)))
+    a = np.zeros((m, n))
+    if kind == "single":
+        a[rng.integers(m), rng.integers(n)] = rng.uniform(0.5, 2.0)
+    return a
+
+
+@st.composite
+def svd_cases(draw):
+    """Tall, wide and square shapes up to 60 a side, with a rank that takes
+    the randomized branch whenever the short side is above
+    RSVD_OVERSAMPLE + 1."""
+    m = draw(st.integers(1, 60))
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, max(1, min(m, n) - tensor.RSVD_OVERSAMPLE - 1)))
+    return m, n, k, draw(st.sampled_from(SPECTRA)), draw(st.integers(0, 2**32 - 1))
+
+
+def with_examples(test):
+    """Explicit tall and wide cases of each rank-deficient or
+    ill-conditioned spectrum, all on the randomized branch."""
+    for case in [(60, 40, 5, "rank5", 1), (40, 60, 3, "rank5", 2),
+                 (60, 50, 1, "logspace", 3), (50, 60, 12, "logspace", 4),
+                 (60, 25, 2, "single", 5), (25, 60, 8, "single", 6)]:
+        test = example(case)(test)
+    return test
+
+
+class TestRandomizedSvdProperties:
+    @given(svd_cases())
+    @with_examples
+    def test_orthonormal_and_ordered(self, case):
+        m, n, k, kind, seed = case
+        res = tensor.truncated_svd(spectrum_matrix(m, n, kind, seed), k, "randomized")
+        assert res.u.shape == (m, k) and res.v.shape == (n, k)
+        assert np.allclose(res.u.T @ res.u, np.eye(k), rtol=0, atol=1e-10)
+        assert np.allclose(res.v.T @ res.v, np.eye(k), rtol=0, atol=1e-10)
+        assert np.all(res.sigma >= 0) and np.all(np.diff(res.sigma) <= 0)
+
+    @given(svd_cases())
+    @with_examples
+    def test_exact_sigma_when_the_rank_fits_the_sketch(self, case):
+        m, n, k, kind, seed = case
+        a = spectrum_matrix(m, n, kind, seed)
+        assume(np.linalg.matrix_rank(a) <= k + tensor.RSVD_OVERSAMPLE)
+        res = tensor.truncated_svd(a, k, "randomized")
+        exact = np.linalg.svd(a, compute_uv=False)[:k]
+        assert np.allclose(res.sigma, exact, rtol=0, atol=1e-10 * exact[0])
+
+    @given(svd_cases())
+    @with_examples
+    def test_transpose_gives_the_same_sigma(self, case):
+        # the basis always lives on the short side, so a and a.T run the
+        # same arithmetic; the exact SVD gives no such promise
+        m, n, k, kind, seed = case
+        assume(m != n and k + tensor.RSVD_OVERSAMPLE < min(m, n))
+        a = spectrum_matrix(m, n, kind, seed)
+        assert np.array_equal(tensor.truncated_svd(a.T, k, "randomized").sigma,
+                              tensor.truncated_svd(a, k, "randomized").sigma)
+
+    @given(svd_cases())
+    @with_examples
+    def test_no_runtime_warning(self, case):
+        # rank-deficient sketches leave Cholesky QR for Householder QR
+        # without passing through inf or nan
+        m, n, k, kind, seed = case
+        a = spectrum_matrix(m, n, kind, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tensor.truncated_svd(a, k, "randomized")
+
+
+@st.composite
+def conditioned_bases(draw):
+    """A tall y = U diag(s) V.T whose singular values fall geometrically to
+    10^-c, or are 1 except the last, which is 10^-c; c runs from 0 (y is
+    orthonormal) to 16 (y is singular to rounding)."""
+    m = draw(st.integers(2, 60))
+    l = draw(st.integers(2, m))
+    c = draw(st.floats(0.0, 16.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        s = np.logspace(0, -c, l)
+    else:
+        s = np.r_[np.ones(l - 1), 10.0 ** -c]
+    return with_singular_values(rng, m, l, s)
+
+
+class TestOrth:
+    @given(conditioned_bases())
+    def test_orthonormal_basis_of_the_range(self, y):
+        q = tensor._orth(y)
+        assert q.shape == y.shape
+        assert np.allclose(q.T @ q, np.eye(y.shape[1]), rtol=0, atol=1e-12)
+        assert np.linalg.norm(y - q @ (q.T @ y)) <= 1e-12 * np.linalg.norm(y)
+
+    @given(conditioned_bases())
+    def test_householder_when_one_cholesky_pass_is_not_near_orthonormal(self, y):
+        with np.errstate(all="ignore"):
+            try:
+                q1 = y @ np.linalg.inv(np.linalg.cholesky(y.T @ y).T)
+                near = np.linalg.norm(q1.T @ q1 - np.eye(y.shape[1])) <= 0.5
+            except np.linalg.LinAlgError:
+                near = False
+        assume(not near)
+        assert np.array_equal(tensor._orth(y), np.linalg.qr(y)[0])
+
+    def test_huge_entries_take_householder_without_warning(self, rng):
+        # the Gram matrix of the sketch overflows; Householder QR does not
+        a = rng.standard_normal((40, 60))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = tensor.truncated_svd(a * 1e150, 5, "randomized")
+        small = tensor.truncated_svd(a, 5, "randomized")
+        assert np.allclose(big.sigma / 1e150, small.sigma, rtol=1e-10, atol=0)
 
 
 class TestRank1Nonneg:
