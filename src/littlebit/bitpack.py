@@ -9,16 +9,20 @@ byte-table method of LUT-GEMM and T-MAC): for each group of 8 inputs it
 builds the 256 signed sums of the group, then sums table entries indexed
 by the sign bytes of each output row. The kernel contracts along the bits
 of a row, which is how :func:`gemv_left` reads a factor. :func:`gemv_right`
-reads the bits of the factor's transpose, built on first use and kept on
-the factor; it takes as many bytes as the packed words.
+reads the bits of the factor's transpose. A factor holds its bits in one
+layout only: the first :func:`gemv_right` on it bit-transposes them in C
+(``lb_transpose``, in the same file) and drops the row layout, which
+:attr:`BinaryFactor.words` and everything built on it then derive on
+demand with the same routine.
 
 The kernel is compiled with the system C compiler (:data:`CC`,
 :data:`CFLAGS`) on first use and cached in :data:`CACHE_DIR`
 (``$XDG_CACHE_HOME/littlebit``, by default ``~/.cache/littlebit``) under
 a name derived from a hash of its source and flags, so later processes
-load it without compiling. A missing compiler, a failed compile, or a
-cache directory that cannot be made, belongs to another user or is
-writable by others raises :class:`~littlebit.errors.KernelBuildError`.
+load it without compiling. A missing compiler, a failed compile, a
+library without both entry points, or a cache directory that cannot be
+made, belongs to another user or is writable by others raises
+:class:`~littlebit.errors.KernelBuildError`.
 """
 
 from __future__ import annotations
@@ -48,10 +52,8 @@ def _default_cache_dir() -> Path:
 
 
 CACHE_DIR = _default_cache_dir()
-# Rows of a factor unpacked at a time while its transpose is built.
-_TRANSPOSE_ROWS = 2048
 
-_gemv = None
+_lib = None
 
 
 def kernel_backend() -> str:
@@ -65,9 +67,16 @@ def words_per_row(cols: int) -> int:
 
 
 class BinaryFactor:
-    """Immutable packed sign matrix of shape (rows, cols)."""
+    """Packed sign matrix of shape (rows, cols) whose value never changes.
 
-    __slots__ = ("rows", "cols", "words", "_transposed")
+    The bits are held in one layout at a time. A new factor holds the row
+    layout, :attr:`words`. The first :func:`gemv_right` on it replaces
+    that with the packed (cols, rows) transpose, the layout the kernel
+    reads for that product; :attr:`words` is then derived from it on each
+    access by the same C routine.
+    """
+
+    __slots__ = ("rows", "cols", "_row", "_col")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray):
         wpr = words_per_row(cols)
@@ -81,28 +90,40 @@ class BinaryFactor:
                 raise ValueError("pad bits beyond cols must be zero")
         self.rows = rows
         self.cols = cols
-        self.words = np.ascontiguousarray(words)
-        self.words.setflags(write=False)
-        self._transposed = None
+        self._row = np.ascontiguousarray(words)
+        self._row.setflags(write=False)
+        self._col = None
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    @property
+    def words(self) -> np.ndarray:
+        """The row layout, read-only uint64 of shape (rows,
+        words_per_row(cols)). After the first :func:`gemv_right` it is
+        rebuilt from the kernel layout on each access, which needs the
+        compiled kernel (already built by then)."""
+        row = self._row
+        if row is None:
+            row = _transpose(self._col, self.cols, self.rows)
+        return row
+
+    def _kernel_words(self) -> np.ndarray:
+        """The packed (cols, rows) transpose that :func:`gemv_right` reads.
+        The first call builds it and drops the row layout; two threads
+        racing on it build the same words, so either may be kept."""
+        if self._col is None:
+            self._col, self._row = _transpose(self.words, self.rows, self.cols), None
+        return self._col
+
     def transposed(self) -> "BinaryFactor":
-        """The packed (cols, rows) transpose, built on first use from
-        blocks of rows and kept on the factor."""
-        if self._transposed is None:
-            raw = self.words.astype("<u8", copy=False).view(np.uint8)
-            t = np.zeros((self.cols, words_per_row(self.rows) * 8), dtype=np.uint8)
-            for r0 in range(0, self.rows, _TRANSPOSE_ROWS):
-                bits = np.unpackbits(raw[r0:r0 + _TRANSPOSE_ROWS], axis=1,
-                                     count=self.cols, bitorder="little")
-                block = np.packbits(bits.T, axis=1, bitorder="little")
-                t[:, r0 // 8:r0 // 8 + block.shape[1]] = block
-            words = t.view("<u8").astype(np.uint64, copy=False)
-            self._transposed = BinaryFactor(self.cols, self.rows, words)
-        return self._transposed
+        """The packed (cols, rows) transpose as a new factor, bit-transposed
+        in C, or sharing the words of this factor's kernel layout."""
+        col = self._col
+        if col is None:
+            col = _transpose(self.words, self.rows, self.cols)
+        return BinaryFactor(self.cols, self.rows, col)
 
 
 def sign(a: np.ndarray) -> np.ndarray:
@@ -150,10 +171,11 @@ def _private_dir(d: Path) -> None:
             f"not be writable by others")
 
 
-def _compile(so: Path) -> None:
-    """Compile the kernel to a temp file next to *so*, then rename it into
-    place, so a concurrent or interrupted build never leaves a partial
-    library under the cached name."""
+def _compile(so: Path) -> ctypes.CDLL:
+    """Compile the kernel to a temp file next to *so*, load it, then rename
+    it into place, so a concurrent or interrupted build, or a library
+    without both entry points, never leaves a file under the cached
+    name."""
     try:
         fd, tmp = tempfile.mkstemp(dir=so.parent, prefix=".tmp-", suffix=".so")
     except OSError as e:
@@ -176,32 +198,42 @@ def _compile(so: Path) -> None:
             detail = next((ln for ln in lines if "error" in ln), lines[-1])
             raise KernelBuildError(
                 f"GEMV kernel compile failed ({' '.join(cmd)}): {detail}")
+        lib = _load(tmp)
         os.replace(tmp, so)
+        return lib
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def _kernel():
-    """The kernel's ``lb_gemv`` entry point, compiled on first use."""
-    global _gemv
-    if _gemv is None:
+def _load(so) -> ctypes.CDLL:
+    """Open the compiled library *so* and declare both of its entry
+    points, ``lb_gemv`` and ``lb_transpose``."""
+    try:
+        lib = ctypes.CDLL(str(so))
+        gemv, transpose = lib.lb_gemv, lib.lb_transpose
+    except (OSError, AttributeError) as e:
+        raise KernelBuildError(f"cannot load the GEMV kernel: {e}") from e
+    gemv.restype = ctypes.c_int
+    gemv.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                     ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                     ctypes.c_void_p]
+    transpose.restype = None
+    transpose.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                          ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+    return lib
+
+
+def _kernel() -> ctypes.CDLL:
+    """The compiled kernel library, built on first use."""
+    global _lib
+    if _lib is None:
         source = KERNEL_SOURCE.read_bytes()
         digest = hashlib.sha256(source + " ".join(CFLAGS).encode()).hexdigest()
         so = CACHE_DIR / f"lutgemv-{digest[:16]}.so"
         _private_dir(CACHE_DIR)
-        if not so.exists():
-            _compile(so)
-        try:
-            fn = ctypes.CDLL(str(so)).lb_gemv
-        except (OSError, AttributeError) as e:
-            raise KernelBuildError(f"cannot load the GEMV kernel {so}: {e}") from e
-        fn.restype = ctypes.c_int
-        fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                       ctypes.c_void_p]
-        _gemv = fn
-    return _gemv
+        _lib = _load(so) if so.exists() else _compile(so)
+    return _lib
 
 
 def _check_input(a, length: int, name: str) -> np.ndarray:
@@ -212,24 +244,37 @@ def _check_input(a, length: int, name: str) -> np.ndarray:
     return a
 
 
-def _lut_gemv(x: np.ndarray, f: BinaryFactor) -> np.ndarray:
-    """x @ unpack(f).T for a vector or (B, f.cols) batch *x*."""
+def _transpose(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Read-only packed (cols, rows) bit transpose of the row words of a
+    rows x cols factor."""
+    dst = np.empty((cols, words_per_row(rows)), dtype=np.uint64)
+    _kernel().lb_transpose(words.ctypes.data, rows, words.shape[1], cols,
+                           dst.ctypes.data, dst.shape[1])
+    dst.setflags(write=False)
+    return dst
+
+
+def _lut_gemv(x: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """x @ S.T for a vector or batch *x* and the sign matrix S whose rows
+    are packed in *words*, one row of S per output."""
     batch = x[None] if x.ndim == 1 else x
-    y = np.empty((batch.shape[0], f.rows), dtype=np.float64)
-    words = f.words.astype("<u8", copy=False)
-    if _kernel()(batch.ctypes.data, batch.shape[0], f.cols, words.ctypes.data,
-                 f.rows, words.shape[1] * 8, y.ctypes.data) != 0:
+    y = np.empty((batch.shape[0], words.shape[0]), dtype=np.float64)
+    words = words.astype("<u8", copy=False)
+    if _kernel().lb_gemv(batch.ctypes.data, batch.shape[0], batch.shape[1],
+                         words.ctypes.data, words.shape[0], words.shape[1] * 8,
+                         y.ctypes.data) != 0:
         raise MemoryError("GEMV kernel could not allocate its tables")
     return y[0] if x.ndim == 1 else y
 
 
 def gemv_right(x, f: BinaryFactor) -> np.ndarray:
     """y_j = sum_i x_i * sign_ij; x is a vector of length f.rows or a
-    (B, f.rows) batch, y has f.cols entries per row of x."""
-    return _lut_gemv(_check_input(x, f.rows, "x"), f.transposed())
+    (B, f.rows) batch, y has f.cols entries per row of x. The first call
+    on *f* leaves it holding the kernel layout (see :class:`BinaryFactor`)."""
+    return _lut_gemv(_check_input(x, f.rows, "x"), f._kernel_words())
 
 
 def gemv_left(z, f: BinaryFactor) -> np.ndarray:
     """y_i = sum_j z_j * sign_ij; z is a vector of length f.cols or a
     (B, f.cols) batch, y has f.rows entries per row of z."""
-    return _lut_gemv(_check_input(z, f.cols, "z"), f)
+    return _lut_gemv(_check_input(z, f.cols, "z"), f.words)

@@ -1,5 +1,6 @@
 /* Byte-table GEMV over packed sign bits (LUT-GEMM, Park et al. 2022;
- * T-MAC, Wei et al. 2024).
+ * T-MAC, Wei et al. 2024), and the bit transpose that lays a factor out
+ * for it (lb_transpose, at the end).
  *
  * y[b, j] = sum_i x[b, i] * s_ji, where s_ji is +1 if bit i of row j is
  * set and -1 if not. Row j of `bits` holds its signs LSB-first in
@@ -84,4 +85,43 @@ int lb_gemv(const double *x, int64_t batch, int64_t n, const uint8_t *bits,
     }
     free(tables);
     return 0;
+}
+
+/* In-place 64x64 bit-matrix transpose (Hacker's Delight 7-3): bit j of
+ * word i moves to bit i of word j. Each round swaps the off-diagonal
+ * blocks of every block on the diagonal, halving the block side. */
+static void transpose64(uint64_t a[64])
+{
+    uint64_t m = 0x00000000FFFFFFFFULL;
+    for (int j = 32; j != 0; j >>= 1, m ^= m << j) {
+        for (int k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+            uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
+            a[k] ^= t << j;
+            a[k | j] ^= t;
+        }
+    }
+}
+
+/* dst = the bit transpose of src: bit i of row j of dst is bit j of row i
+ * of src. src has `rows` rows of `src_words` words holding `cols` bits
+ * each, bits past cols zero. dst has `cols` rows of `dst_words` words;
+ * the 64x64 blocks cover every word of it, with zeros past bit `rows`. */
+void lb_transpose(const uint64_t *src, int64_t rows, int64_t src_words,
+                  int64_t cols, uint64_t *dst, int64_t dst_words)
+{
+    for (int64_t i0 = 0; i0 < rows; i0 += 64) {
+        const int64_t ni = rows - i0 < 64 ? rows - i0 : 64;
+        for (int64_t w = 0; w < src_words; w++) {
+            uint64_t a[64];
+            int64_t i = 0;
+            for (; i < ni; i++)
+                a[i] = src[(i0 + i) * src_words + w];
+            for (; i < 64; i++)
+                a[i] = 0;
+            transpose64(a);
+            const int64_t nj = cols - 64 * w < 64 ? cols - 64 * w : 64;
+            for (int64_t j = 0; j < nj; j++)
+                dst[(64 * w + j) * dst_words + i0 / 64] = a[j];
+        }
+    }
 }

@@ -81,6 +81,11 @@ SVD_METHODS = ("exact", "randomized")
 RSVD_OVERSAMPLE = 16
 RSVD_POWER_ITERS = 3
 RSVD_SEED = 0
+# The sketch multiplies up to four factors of a together, so the binary
+# exponent of its largest magnitude is kept within +-RSVD_SAFE_EXP: far
+# from the ends of the float64 range, and inside the band where scaling a
+# by a power of two scales sigma by the same power, bit for bit.
+RSVD_SAFE_EXP = 100
 
 
 def _orth(y: np.ndarray) -> np.ndarray:
@@ -113,6 +118,11 @@ def _randomized_svd(a: np.ndarray, k: int):
         # BLAS the layout of a wide input, so a and a.T get equal sigma
         v, s, ut = _randomized_svd(np.ascontiguousarray(a.T), k)
         return ut.T, s, v.T
+    _, e = np.frexp(max(a.max(), -a.min()))
+    if abs(e) > RSVD_SAFE_EXP:
+        # exact rescaling by 2**-e; in-band input is used as it is, uncopied
+        u, s, vt = _randomized_svd(np.ldexp(a, -e), k)
+        return u, np.ldexp(s, e), vt
     rng = seeded_rng(RSVD_SEED)
     q = _orth(a @ rng.standard_normal((a.shape[1], k + RSVD_OVERSAMPLE)))
     for _ in range(RSVD_POWER_ITERS):

@@ -146,6 +146,19 @@ class TestSign:
         assert np.array_equal(bitpack.unpack(bitpack.pack(s)), s)
 
 
+# Sides on and either side of the byte and word boundaries; words are
+# also the side of the transpose's 64x64 blocks.
+SIDES = (1, 7, 8, 63, 64, 65, 129)
+
+
+def with_side_examples(test):
+    """Every pair of SIDES as explicit (rows, cols, seed) examples."""
+    for i, rows in enumerate(SIDES):
+        for j, cols in enumerate(SIDES):
+            test = example(rows, cols, len(SIDES) * i + j)(test)
+    return test
+
+
 class TestBatchedKernel:
     @given(st.integers(1, 40), st.integers(1, 300), st.integers(1, 70),
            st.integers(0, 2**32 - 1))
@@ -166,22 +179,16 @@ class TestBatchedKernel:
             assert np.max(np.abs(left[b] - (s * z[b]).sum(axis=1))) < 1e-10
             assert np.max(np.abs(right[b] - (z[b][:, None] * t).sum(axis=0))) < 1e-10
 
-    @given(st.integers(1, 300), st.integers(1, 200), st.integers(0, 2**32 - 1))
-    @example(8, 64, 0)
-    @example(65, 1, 1)
-    @example(300, 129, 2)
+    @given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    @with_side_examples
     def test_transpose_is_pack_of_unpacked_transpose(self, rows, cols, seed):
         f = bitpack.pack(random_signs(np.random.default_rng(seed), rows, cols))
         t = f.transposed()
         assert t.shape == (cols, rows)
         assert np.array_equal(t.words, bitpack.pack(bitpack.unpack(f).T).words)
-        assert f.transposed() is t
-
-    def test_transpose_across_row_blocks(self, rng, monkeypatch):
-        monkeypatch.setattr(bitpack, "_TRANSPOSE_ROWS", 64)
-        f = bitpack.pack(random_signs(rng, 200, 70))
-        assert np.array_equal(f.transposed().words,
-                              bitpack.pack(bitpack.unpack(f).T).words)
+        assert np.array_equal(t.transposed().words, f.words)
+        if rows % 64:   # the pad bits of the last word are all zero
+            assert not np.any(t.words[:, -1] >> np.uint64(rows % 64))
 
     def test_empty_batch(self, rng):
         f = bitpack.pack(random_signs(rng, 6, 9))
@@ -202,7 +209,7 @@ class TestKernelBuild:
         """A cache directory under tmp_path and no kernel loaded yet."""
         cache = tmp_path / "cache" / "littlebit"
         monkeypatch.setattr(bitpack, "CACHE_DIR", cache)
-        monkeypatch.setattr(bitpack, "_gemv", None)
+        monkeypatch.setattr(bitpack, "_lib", None)
         return cache
 
     def test_cache_dir_created_private(self, fresh):
@@ -214,7 +221,7 @@ class TestKernelBuild:
     def test_cached_build_reused_without_compiler(self, fresh, monkeypatch):
         f = bitpack.pack(np.array([[1.0, -1.0, 1.0]]))
         assert np.array_equal(bitpack.gemv_left([1.0, 2.0, 4.0], f), [3.0])
-        monkeypatch.setattr(bitpack, "_gemv", None)
+        monkeypatch.setattr(bitpack, "_lib", None)
         monkeypatch.setattr(bitpack, "CC", (str(fresh / "no-such-cc"),))
         assert np.array_equal(bitpack.gemv_left([1.0, 2.0, 4.0], f), [3.0])
 
@@ -230,6 +237,19 @@ class TestKernelBuild:
         with pytest.raises(KernelBuildError, match="compile failed"):
             bitpack.gemv_left(np.ones(3), bitpack.pack(np.ones((2, 3))))
         assert not list(fresh.iterdir())
+
+    @pytest.mark.parametrize("source, missing", [
+        ("int lb_gemv(void) { return 0; }\n", "lb_transpose"),
+        ("void lb_transpose(void) {}\n", "lb_gemv")])
+    def test_library_missing_an_entry_point_leaves_nothing(
+            self, fresh, monkeypatch, tmp_path, source, missing):
+        src = tmp_path / "partial.c"
+        src.write_text(source)
+        monkeypatch.setattr(bitpack, "KERNEL_SOURCE", src)
+        with pytest.raises(KernelBuildError, match=missing):
+            bitpack.gemv_left(np.ones(3), bitpack.pack(np.ones((2, 3))))
+        assert not list(fresh.iterdir())
+        assert bitpack._lib is None
 
     def test_refuses_cache_dir_writable_by_others(self, fresh):
         fresh.mkdir(parents=True)

@@ -238,7 +238,7 @@ class TestEval:
                                               monkeypatch, capsys):
         monkeypatch.setattr(bitpack, "CC", (str(tmp_path / "no-such-cc"),))
         monkeypatch.setattr(bitpack, "CACHE_DIR", tmp_path / "cache")
-        monkeypatch.setattr(bitpack, "_gemv", None)
+        monkeypatch.setattr(bitpack, "_lib", None)
         ref = tmp_path / "w.lbm"
         tensor.save_matrix(rng.standard_normal((24, 20)), ref)
         lbq = tmp_path / "w.lbq"
@@ -260,6 +260,22 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "no-such-cc" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_lbq_round_trip_needs_no_compiler(self, teacher_files, tmp_path,
+                                              monkeypatch):
+        _, _, lbq = teacher_files
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(bitpack, "CC", (str(tmp_path / "no-such-cc"),))
+        monkeypatch.setattr(bitpack, "CACHE_DIR", cache)
+        monkeypatch.setattr(bitpack, "_lib", None)
+        lay = layer.load_lbq(lbq)
+        copy = tmp_path / "copy.lbq"
+        layer.save_lbq(lay, copy)
+        assert copy.read_bytes() == lbq.read_bytes()
+        for p in lay.paths():
+            for f in (p.u_sign, p.v_sign):
+                assert bitpack.unpack(f).shape == f.shape
+        assert not cache.exists()
 
     def test_residual_not_worse_than_primary_only(self, rng, tmp_path):
         w = rng.standard_normal((64, 64))

@@ -1,3 +1,4 @@
+import gc
 import warnings
 
 import numpy as np
@@ -115,6 +116,50 @@ class TestForward:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             layer.forward(hand_layer(), np.zeros((1, 3)))
+
+
+def held_bytes(f):
+    """Bytes of every array a factor holds, as the garbage collector sees
+    its references, so a cached second layout would count too."""
+    return sum(a.nbytes for a in gc.get_referents(f) if isinstance(a, np.ndarray))
+
+
+class TestOneLayout:
+    """A sign factor holds its bits once: the row layout until the first
+    forward, then only the transpose the V-stage kernel reads."""
+
+    def test_forward_holds_no_second_sign_copy(self, rng):
+        # d_in a multiple of 64, as in model shapes, where the transposed
+        # layout of V_sign is never larger than its row layout
+        lay = random_layer(rng, 40, 128, 10, residual=True, r_residual=70)
+        payloads = []
+        for p in lay.paths():
+            payloads.append((p.d_out + p.d_in) * bitpack.words_per_row(p.rank) * 8)
+            assert held_bytes(p.u_sign) + held_bytes(p.v_sign) == payloads[-1]
+        layer.forward(lay, rng.standard_normal((3, 128)))
+        for p, payload in zip(lay.paths(), payloads):
+            assert held_bytes(p.v_sign) == p.rank * bitpack.words_per_row(p.d_in) * 8
+            assert held_bytes(p.u_sign) + held_bytes(p.v_sign) <= payload
+
+    @given(st.integers(1, 70), st.integers(1, 140), st.integers(1, 70),
+           st.integers(0, 70), st.integers(0, 2**32 - 1))
+    def test_forward_changes_no_value(self, tmp_path_factory, d_out, d_in, r,
+                                      r_res, seed):
+        rng = np.random.default_rng(seed)
+        lay = random_layer(rng, d_out, d_in, r, residual=r_res > 0,
+                           r_residual=r_res or None)
+        d = tmp_path_factory.mktemp("lbq")
+        layer.save_lbq(lay, d / "before.lbq")
+        signs = [bitpack.unpack(f) for p in lay.paths()
+                 for f in (p.u_sign, p.v_sign)]
+        w = layer.effective_weight(lay)
+        layer.forward(lay, rng.standard_normal((1, d_in)))
+        layer.save_lbq(lay, d / "after.lbq")
+        assert (d / "before.lbq").read_bytes() == (d / "after.lbq").read_bytes()
+        for s, f in zip(signs, (f for p in lay.paths()
+                                for f in (p.u_sign, p.v_sign))):
+            assert np.array_equal(bitpack.unpack(f), s)
+        assert np.array_equal(layer.effective_weight(lay), w)
 
 
 class TestMeasuredBpw:

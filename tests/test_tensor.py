@@ -221,6 +221,37 @@ class TestRandomizedSvdProperties:
             tensor.truncated_svd(a, k, "randomized")
 
 
+class TestRandomizedSvdScale:
+    # 2**512 and 2**-548 are about 1e154 and 1e-165, where the sketch
+    # overflowed and underflowed before it was rescaled
+    @given(svd_cases(), st.integers(-1074, 1023))
+    @example((40, 60, 5, "gaussian", 0), 512)
+    @example((40, 60, 5, "gaussian", 1), -548)
+    @example((60, 40, 5, "gaussian", 2), 300)
+    @example((60, 40, 5, "gaussian", 3), -300)
+    @example((50, 60, 12, "logspace", 4), tensor.RSVD_SAFE_EXP)
+    @example((50, 60, 3, "rank5", 5), -tensor.RSVD_SAFE_EXP - 1)
+    def test_sigma_scales_with_a_power_of_two_bit_for_bit(self, case, e):
+        m, n, k, kind, seed = case
+        assume(k + tensor.RSVD_OVERSAMPLE < min(m, n))
+        a = spectrum_matrix(m, n, kind, seed)
+        with np.errstate(all="ignore"):
+            scaled = np.ldexp(a, e)
+        # 2**e * a and 2**e * sigma must be exact: finite, no subnormals
+        assume(np.all(np.isfinite(scaled))
+               and np.array_equal(np.ldexp(scaled, -e), a))
+        ref = tensor.truncated_svd(a, k, "randomized")
+        with np.errstate(all="ignore"):
+            want = np.ldexp(ref.sigma, e)
+        assume(np.all(np.isfinite(want))
+               and np.array_equal(np.ldexp(want, -e), ref.sigma))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = tensor.truncated_svd(scaled, k, "randomized")
+        assert np.array_equal(res.sigma, want)
+        assert np.array_equal(res.u, ref.u) and np.array_equal(res.v, ref.v)
+
+
 @st.composite
 def conditioned_bases(draw):
     """A tall y = U diag(s) V.T whose singular values fall geometrically to
@@ -257,13 +288,12 @@ class TestOrth:
         assert np.array_equal(tensor._orth(y), np.linalg.qr(y)[0])
 
     def test_huge_entries_take_householder_without_warning(self, rng):
-        # the Gram matrix of the sketch overflows; Householder QR does not
-        a = rng.standard_normal((40, 60))
+        # the Gram matrix overflows; Householder QR does not
+        y = rng.standard_normal((60, 21)) * 1e200
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            big = tensor.truncated_svd(a * 1e150, 5, "randomized")
-        small = tensor.truncated_svd(a, 5, "randomized")
-        assert np.allclose(big.sigma / 1e150, small.sigma, rtol=1e-10, atol=0)
+            q = tensor._orth(y)
+            assert np.array_equal(q, np.linalg.qr(y)[0])
 
 
 class TestRank1Nonneg:
