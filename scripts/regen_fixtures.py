@@ -32,8 +32,7 @@ TRAIN_CFG = qat.TrainConfig(steps=500, lr=1e-3, seed=0)
 
 def write(name: str, text: str) -> None:
     path = os.path.join(OUT_DIR, name)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
+    tensor.atomic_write(path, text.encode("utf-8"))
     print(f"wrote {path}")
 
 

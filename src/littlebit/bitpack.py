@@ -117,14 +117,6 @@ class BinaryFactor:
             self._col, self._row = _transpose(self.words, self.rows, self.cols), None
         return self._col
 
-    def transposed(self) -> "BinaryFactor":
-        """The packed (cols, rows) transpose as a new factor, bit-transposed
-        in C, or sharing the words of this factor's kernel layout."""
-        col = self._col
-        if col is None:
-            col = _transpose(self.words, self.rows, self.cols)
-        return BinaryFactor(self.cols, self.rows, col)
-
 
 def sign(a: np.ndarray) -> np.ndarray:
     """Elementwise +/-1 float64 sign with sign(0) -> +1 (-0.0 included), so

@@ -23,7 +23,7 @@ from . import bitpack
 from .bitpack import BinaryFactor
 from .errors import FormatError
 from .planner import path_bits
-from .tensor import as_matrix, atomic_write
+from .tensor import as_matrix, atomic_write, read_arrays, read_header
 
 LBQ_MAGIC = b"LBQ1"
 LBQ_VERSION = 1
@@ -162,17 +162,6 @@ def param_bytes(layer: LittleBitLayer, scale_bits: int = 16) -> float:
 # row), h, g, ell in the declared scale precision; then the residual
 # payload in the same order when present.
 
-def _path_bytes(p: QuantPath, scale_dtype) -> bytes:
-    chunks = [
-        p.u_sign.words.astype("<u8").tobytes(),
-        p.v_sign.words.astype("<u8").tobytes(),
-        p.h.astype(scale_dtype).tobytes(),
-        p.g.astype(scale_dtype).tobytes(),
-        p.ell.astype(scale_dtype).tobytes(),
-    ]
-    return b"".join(chunks)
-
-
 def _check_fp16_range(layer: LittleBitLayer) -> None:
     fp16_max = float(np.finfo(np.float16).max)
     for name, p in zip(("primary", "residual"), layer.paths()):
@@ -210,84 +199,50 @@ def save_lbq(layer: LittleBitLayer, path, fp16_scales: bool = False) -> None:
     header = _LBQ_HEADER.pack(LBQ_MAGIC, LBQ_VERSION, flags,
                               layer.d_out, layer.d_in,
                               layer.primary.rank, r_res)
-    body = _path_bytes(layer.primary, scale_dtype)
-    if layer.residual is not None:
-        body += _path_bytes(layer.residual, scale_dtype)
-    atomic_write(path, header + body)
+    atomic_write(path, header, *(a for p in layer.paths()
+                                 for a in _path_arrays(p, scale_dtype)))
 
 
-class _Reader:
-    def __init__(self, raw: bytes, offset: int, path):
-        self.raw = raw
-        self.off = offset
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.raw):
-            raise FormatError(f"{self.path}: truncated payload "
-                              f"(need {n} bytes at offset {self.off})")
-        b = self.raw[self.off:self.off + n]
-        self.off += n
-        return b
+def _path_arrays(p: QuantPath, scale_dtype) -> list:
+    """U_sign words, V_sign words, h, g and ell as stored."""
+    return [p.u_sign.words.astype("<u8", copy=False),
+            p.v_sign.words.astype("<u8", copy=False),
+            p.h.astype(scale_dtype), p.g.astype(scale_dtype),
+            p.ell.astype(scale_dtype)]
 
 
-def _read_path(rd: _Reader, d_out: int, d_in: int, r: int,
-               scale_dtype) -> QuantPath:
+def _path_layout(d_out: int, d_in: int, r: int, scale_dtype) -> list:
+    """(shape, dtype) of U_sign words, V_sign words, h, g and ell."""
     wpr = bitpack.words_per_row(r)
-    scale_width = np.dtype(scale_dtype).itemsize
-
-    def read_factor(rows):
-        raw = rd.take(rows * wpr * 8)
-        words = np.frombuffer(raw, dtype="<u8").astype(np.uint64)
-        try:
-            return BinaryFactor(rows, r, words.reshape(rows, wpr))
-        except ValueError as e:
-            raise FormatError(f"{rd.path}: {e}") from e
-
-    def read_scales(n):
-        raw = rd.take(n * scale_width)
-        v = np.frombuffer(raw, dtype=scale_dtype)
-        # checked before widening: casting a signalling NaN warns
-        if not np.all(np.isfinite(v)):
-            raise FormatError(f"{rd.path}: non-finite scale values")
-        return v.astype(np.float64)
-
-    u_sign = read_factor(d_out)
-    v_sign = read_factor(d_in)
-    h = read_scales(d_out)
-    g = read_scales(d_in)
-    ell = read_scales(r)
-    return QuantPath(u_sign=u_sign, v_sign=v_sign, h=h, g=g, ell=ell)
+    return [((d_out, wpr), "<u8"), ((d_in, wpr), "<u8"),
+            ((d_out,), scale_dtype), ((d_in,), scale_dtype), ((r,), scale_dtype)]
 
 
 def load_lbq(path) -> LittleBitLayer:
     """Load an LBQ file; scales are widened to float64 in memory."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _LBQ_HEADER.size:
-        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, flags, d_out, d_in, r_pri, r_res = \
-        _LBQ_HEADER.unpack_from(raw)
-    if magic != LBQ_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != LBQ_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if flags & ~(_FLAG_RESIDUAL | _FLAG_FP16_SCALES):
-        raise FormatError(f"{path}: unknown flag bits 0x{flags:x}")
-    has_residual = bool(flags & _FLAG_RESIDUAL)
-    if has_residual != (r_res > 0):
-        raise FormatError(f"{path}: residual flag inconsistent with "
-                          f"r_residual={r_res}")
-    if min(d_out, d_in, r_pri) < 1:
-        raise FormatError(f"{path}: bad dimensions "
-                          f"({d_out}, {d_in}, r={r_pri})")
-    scale_dtype = "<f2" if flags & _FLAG_FP16_SCALES else "<f4"
-    rd = _Reader(raw, _LBQ_HEADER.size, path)
-    primary = _read_path(rd, d_out, d_in, r_pri, scale_dtype)
-    residual = None
-    if has_residual:
-        residual = _read_path(rd, d_out, d_in, r_res, scale_dtype)
-    if rd.off != len(raw):
-        raise FormatError(f"{path}: {len(raw) - rd.off} trailing bytes")
-    return LittleBitLayer(d_out=d_out, d_in=d_in,
-                          primary=primary, residual=residual)
+        version, flags, d_out, d_in, r_pri, r_res = \
+            read_header(f, _LBQ_HEADER, LBQ_MAGIC, path)
+        if version != LBQ_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if flags & ~(_FLAG_RESIDUAL | _FLAG_FP16_SCALES):
+            raise FormatError(f"{path}: unknown flag bits 0x{flags:x}")
+        if bool(flags & _FLAG_RESIDUAL) != (r_res > 0):
+            raise FormatError(f"{path}: residual flag inconsistent with "
+                              f"r_residual={r_res}")
+        if min(d_out, d_in, r_pri) < 1:
+            raise FormatError(f"{path}: bad dimensions "
+                              f"({d_out}, {d_in}, r={r_pri})")
+        scale_dtype = "<f2" if flags & _FLAG_FP16_SCALES else "<f4"
+        ranks = [r for r in (r_pri, r_res) if r]
+        arrays = read_arrays(f, [a for r in ranks for a in
+                                 _path_layout(d_out, d_in, r, scale_dtype)], path)
+    paths = []
+    try:
+        for i, r in enumerate(ranks):
+            u, v, h, g, ell = arrays[5 * i:5 * i + 5]
+            paths.append(QuantPath(BinaryFactor(d_out, r, u),
+                                   BinaryFactor(d_in, r, v), h, g, ell))
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from e
+    return LittleBitLayer(d_out, d_in, *paths)

@@ -1,5 +1,6 @@
 """Dense-matrix substrate: validation, RNG, truncated SVD, nonnegative
-rank-1 approximation, and the LBM1 raw-matrix file format.
+rank-1 approximation, the read and write rules shared by both file
+formats, and the LBM1 raw-matrix file format.
 
 Matrices are plain 2-D float64 C-contiguous ``numpy.ndarray`` objects
 throughout the package. All math runs in float64; the LBM1 format stores
@@ -8,6 +9,7 @@ float32 on disk and values are widened back to float64 on load.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -224,14 +226,15 @@ def rank1_nonneg(a, max_iter: int = 200, tol: float = 1e-12) -> Rank1Result:
 
 
 # ---------------------------------------------------------------------------
-# LBM1 file format
+# File reading and writing
 # ---------------------------------------------------------------------------
-# Little-endian: magic "LBM1", u32 rows, u32 cols, then rows*cols float32
-# values row-major. Values are widened to float64 in memory.
+# Both file formats (LBM1 here, LBQ1 in :mod:`littlebit.layer`) are a fixed
+# little-endian header followed by arrays whose shapes the header implies.
 
-def atomic_write(path, data: bytes) -> None:
-    """Write *data* to *path* via a temp file and atomic rename, so an
-    interrupted writer never leaves a partial file at the target.
+def atomic_write(path, *chunks) -> None:
+    """Write *chunks* (bytes or C-contiguous arrays, in order) to *path*
+    via a temp file and atomic rename, so an interrupted writer never
+    leaves a partial file at the target.
 
     The temp file is fsynced before the rename and the directory after it,
     so the new file survives a machine crash, not only a process crash.
@@ -241,7 +244,8 @@ def atomic_write(path, data: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -258,34 +262,68 @@ def atomic_write(path, data: bytes) -> None:
         os.close(dir_fd)
 
 
+def read_header(f, header: struct.Struct, magic: bytes, path) -> list:
+    """The fields after *magic* of the fixed *header* that starts the open
+    file *f*."""
+    raw = f.read(header.size)
+    if len(raw) < header.size:
+        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
+    found, *fields = header.unpack(raw)
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found!r}")
+    return fields
+
+
+def read_arrays(f, layout, path) -> list[np.ndarray]:
+    """Read the arrays that follow the header of the open file *f*.
+
+    *layout* lists their (shape, little-endian dtype) in file order. The
+    file size must equal the header plus their total size, checked before
+    anything is allocated; each array is then read in place into its own
+    buffer, and float data is checked finite before anyone widens it
+    (casting a signalling NaN warns)."""
+    expected = f.tell() + sum(math.prod(shape) * np.dtype(dtype).itemsize
+                              for shape, dtype in layout)
+    size = os.fstat(f.fileno()).st_size
+    if size < expected:
+        raise FormatError(f"{path}: truncated payload "
+                          f"({size} bytes, header implies {expected})")
+    if size > expected:
+        raise FormatError(f"{path}: {size - expected} trailing bytes")
+    arrays = []
+    for shape, dtype in layout:
+        a = np.empty(shape, dtype)
+        if f.readinto(a) != a.nbytes:
+            raise FormatError(f"{path}: truncated payload "
+                              f"(file ends at byte {f.tell()})")
+        if a.dtype.kind == "f" and not np.all(np.isfinite(a)):
+            raise FormatError(f"{path}: non-finite values")
+        # native byte order, as BinaryFactor requires: no copy on
+        # little-endian hosts
+        arrays.append(a.astype(a.dtype.newbyteorder("="), copy=False))
+    return arrays
+
+
+# ---------------------------------------------------------------------------
+# LBM1 file format
+# ---------------------------------------------------------------------------
+# Little-endian: magic "LBM1", u32 rows, u32 cols, then rows*cols float32
+# values row-major. Values are widened to float64 in memory.
+
 def save_matrix(m, path) -> None:
     """Serialize a matrix to an LBM1 file (float32 payload, atomic write)."""
     m = as_matrix(m)
     require_finite(m)
     if 0 in m.shape:
         raise ValueError(f"matrix has a zero dimension {m.shape}")
-    header = _LBM1_HEADER.pack(LBM1_MAGIC, m.shape[0], m.shape[1])
-    payload = m.astype("<f4").tobytes()
-    atomic_write(path, header + payload)
+    atomic_write(path, _LBM1_HEADER.pack(LBM1_MAGIC, *m.shape), m.astype("<f4"))
 
 
 def load_matrix(path) -> np.ndarray:
     """Load an LBM1 file, widening float32 values to float64."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _LBM1_HEADER.size:
-        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, rows, cols = _LBM1_HEADER.unpack_from(raw)
-    if magic != LBM1_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if rows < 1 or cols < 1:
-        raise FormatError(f"{path}: bad dimensions ({rows}, {cols})")
-    expected = _LBM1_HEADER.size + 4 * rows * cols
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: payload length {len(raw)} != expected {expected}")
-    data = np.frombuffer(raw, dtype="<f4", offset=_LBM1_HEADER.size)
-    # checked before widening: casting a signalling NaN warns
-    if not np.all(np.isfinite(data)):
-        raise FormatError(f"{path}: non-finite entries")
-    return data.astype(np.float64).reshape(rows, cols)
+        rows, cols = read_header(f, _LBM1_HEADER, LBM1_MAGIC, path)
+        if rows < 1 or cols < 1:
+            raise FormatError(f"{path}: bad dimensions ({rows}, {cols})")
+        (data,) = read_arrays(f, [((rows, cols), "<f4")], path)
+    return data.astype(np.float64)

@@ -183,12 +183,16 @@ class TestBatchedKernel:
     @with_side_examples
     def test_transpose_is_pack_of_unpacked_transpose(self, rows, cols, seed):
         f = bitpack.pack(random_signs(np.random.default_rng(seed), rows, cols))
-        t = f.transposed()
-        assert t.shape == (cols, rows)
-        assert np.array_equal(t.words, bitpack.pack(bitpack.unpack(f).T).words)
-        assert np.array_equal(t.transposed().words, f.words)
+        words = f.words
+        expected = bitpack.pack(bitpack.unpack(f).T).words
+        bitpack.gemv_right(np.zeros(rows), f)   # switches f to the kernel layout
+        t = f._kernel_words()
+        assert t.shape == (cols, bitpack.words_per_row(rows))
+        assert np.array_equal(t, expected)
+        assert np.array_equal(bitpack._transpose(t, cols, rows), words)
+        assert np.array_equal(f.words, words)
         if rows % 64:   # the pad bits of the last word are all zero
-            assert not np.any(t.words[:, -1] >> np.uint64(rows % 64))
+            assert not np.any(t[:, -1] >> np.uint64(rows % 64))
 
     def test_empty_batch(self, rng):
         f = bitpack.pack(random_signs(rng, 6, 9))

@@ -1,5 +1,9 @@
 import gc
+import os
+import struct
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +12,8 @@ from hypothesis import given, strategies as st
 from littlebit import bitpack, layer, planner
 from littlebit.errors import FormatError
 from littlebit.layer import LittleBitLayer, QuantPath
-from conftest import random_layer, random_path, scalar_effective_weight
+from conftest import (random_layer, random_path, random_signs,
+                      scalar_effective_weight)
 
 
 def hand_layer():
@@ -365,3 +370,96 @@ class TestLbqFormat:
                       h=np.ones(4), g=p.g, ell=p.ell)
         with pytest.raises(ValueError):
             LittleBitLayer(d_out=5, d_in=7, primary=p)
+
+
+def sign_words(signs):
+    """Rows of LSB-first 64-bit words, bit = 1 for +1, pad bits zero,
+    spelled out with Python integers rather than taken from bitpack."""
+    rows, cols = signs.shape
+    return np.array([[sum(1 << j for j in range(64)
+                          if 64 * w + j < cols and signs[i, 64 * w + j] > 0)
+                      for w in range(-(-cols // 64))] for i in range(rows)],
+                    dtype="<u8")
+
+
+class TestLbqBytes:
+    """LBQ1 bytes built here from the format description, so that a drift
+    shared by the writer and the reader cannot pass."""
+
+    @pytest.mark.parametrize("r", [1, 64, 65])
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("fp16", [False, True])
+    def test_writer_and_reader_match_spelled_out_bytes(self, tmp_path, r,
+                                                       residual, fp16):
+        rng = np.random.default_rng(r)
+        d_out, d_in, r_res = 5, 7, 3 if residual else 0
+        scale = "<f2" if fp16 else "<f4"
+        signs, paths, body = [], [], b""
+        for rank in [r, r_res] if residual else [r]:
+            su, sv = random_signs(rng, d_out, rank), random_signs(rng, d_in, rank)
+            h, g, ell = (rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+                         for n in (d_out, d_in, rank))
+            signs.append((su, sv))
+            paths.append(QuantPath(bitpack.pack(su), bitpack.pack(sv), h, g, ell))
+            body += (sign_words(su).tobytes() + sign_words(sv).tobytes()
+                     + b"".join(np.asarray(v, scale).tobytes() for v in (h, g, ell)))
+        expected = struct.pack("<4sHHIIII", b"LBQ1", 1, residual | fp16 << 1,
+                               d_out, d_in, r, r_res) + body
+
+        written = tmp_path / "written.lbq"
+        layer.save_lbq(LittleBitLayer(d_out, d_in, *paths), written,
+                       fp16_scales=fp16)
+        assert written.read_bytes() == expected
+
+        spelled = tmp_path / "spelled.lbq"
+        spelled.write_bytes(expected)
+        loaded = layer.load_lbq(spelled)
+        assert len(loaded.paths()) == len(paths)
+        for got, want, (su, sv) in zip(loaded.paths(), paths, signs):
+            assert np.array_equal(bitpack.unpack(got.u_sign), su)
+            assert np.array_equal(bitpack.unpack(got.v_sign), sv)
+            for a, b in ((got.h, want.h), (got.g, want.g), (got.ell, want.ell)):
+                assert a.dtype == np.float64
+                assert np.array_equal(a, b.astype(scale).astype(np.float64))
+
+
+class TestLoadReads:
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_near_file_size(self, tmp_path):
+        # the sign words are 87% of this file; the rest, the float32
+        # scales, is widened to float64 in memory
+        p = tmp_path / "big.lbq"
+        layer.save_lbq(random_layer(np.random.default_rng(3), 512, 700, 200,
+                                    residual=True), p)
+        assert self.traced_peak(layer.load_lbq, p) < 1.5 * p.stat().st_size
+
+    def test_huge_header_truncated_without_allocating(self, tmp_path):
+        p = tmp_path / "huge.lbq"
+        p.write_bytes(struct.pack("<4sHHIIII", b"LBQ1", 1, 1, *[2**32 - 1] * 4))
+
+        def load():
+            with pytest.raises(FormatError, match="truncated"):
+                layer.load_lbq(p)
+        assert self.traced_peak(load) < 2**20
+
+    def test_short_read_is_format_error(self, rng, tmp_path, monkeypatch):
+        # a file that shrinks after its size was checked: the reads
+        # themselves must notice, wherever the file ends
+        p = tmp_path / "short.lbq"
+        layer.save_lbq(random_layer(rng, 6, 70, 3, residual=True), p)
+        full = p.read_bytes()
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=len(full)))
+        # inside U, at the end of U, inside V, inside h, in the residual
+        # path, one byte short
+        for keep in (30, 72, 200, 640, 1000, len(full) - 1):
+            p.write_bytes(full[:keep])
+            with pytest.raises(FormatError, match="truncated"):
+                layer.load_lbq(p)

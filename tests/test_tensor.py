@@ -2,6 +2,7 @@ import os
 import stat
 import struct
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -386,7 +387,9 @@ class TestAtomicWrite:
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
         target = tmp_path / "out.bin"
-        tensor.atomic_write(target, b"payload")
+        # chunks of bytes and arrays, written in order
+        tensor.atomic_write(target, b"pay",
+                            np.frombuffer(b"load", np.uint8).reshape(2, 2))
         assert events == ["fsync file", "replace", "fsync dir"]
         assert target.read_bytes() == b"payload"
         assert os.listdir(tmp_path) == ["out.bin"]
@@ -447,7 +450,7 @@ class TestLbm1:
         p = tmp_path / "trunc.lbm"
         tensor.save_matrix(rng.standard_normal((4, 4)), p)
         p.write_bytes(p.read_bytes()[:-7])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="truncated"):
             tensor.load_matrix(p)
 
     def test_nonfinite_payload(self, rng, tmp_path):
@@ -457,6 +460,34 @@ class TestLbm1:
         raw[12:16] = np.array([np.inf], dtype="<f4").tobytes()
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="non-finite"):
+            tensor.load_matrix(p)
+
+    def test_writer_and_reader_match_spelled_out_bytes(self, rng, tmp_path):
+        m = rng.standard_normal((3, 5))
+        expected = (struct.pack("<4sII", b"LBM1", 3, 5)
+                    + np.asarray(m, "<f4").tobytes())
+        written, spelled = tmp_path / "written.lbm", tmp_path / "spelled.lbm"
+        tensor.save_matrix(m, written)
+        assert written.read_bytes() == expected
+        spelled.write_bytes(expected)
+        loaded = tensor.load_matrix(spelled)
+        assert loaded.dtype == np.float64 and loaded.flags.c_contiguous
+        assert np.array_equal(loaded, m.astype(np.float32).astype(np.float64))
+
+    def test_trailing_bytes(self, rng, tmp_path):
+        p = tmp_path / "m.lbm"
+        tensor.save_matrix(rng.standard_normal((4, 4)), p)
+        p.write_bytes(p.read_bytes() + b"x")
+        with pytest.raises(FormatError, match="trailing"):
+            tensor.load_matrix(p)
+
+    def test_short_read_is_format_error(self, rng, tmp_path, monkeypatch):
+        p = tmp_path / "short.lbm"
+        tensor.save_matrix(rng.standard_normal((4, 4)), p)
+        full = p.read_bytes()
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=len(full)))
+        p.write_bytes(full[:-1])
+        with pytest.raises(FormatError, match="truncated"):
             tensor.load_matrix(p)
 
     def test_save_rejects_nonfinite(self, tmp_path):
