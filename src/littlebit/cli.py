@@ -122,12 +122,14 @@ def cmd_eval(args) -> int:
 
 def cmd_train(args) -> int:
     layer0 = load_lbq(args.lbq)
-    w = load_matrix(args.ref)
-    cfg = qat.TrainConfig(steps=args.steps, lr=args.lr, batch=args.batch,
-                          seed=args.seed, schedule=args.schedule,
-                          calib_batches=args.calib_batches)
-    spec = qat.SurrogateSpec(kind=args.surrogate, k=args.k)
-    refined, curve = qat.train(layer0, w, cfg, spec)
+    # the teacher has no local name, so that train can free it once it
+    # has the calibration targets
+    refined, curve = qat.train(
+        layer0, load_matrix(args.ref),
+        qat.TrainConfig(steps=args.steps, lr=args.lr, batch=args.batch,
+                        seed=args.seed, schedule=args.schedule,
+                        calib_batches=args.calib_batches),
+        qat.SurrogateSpec(kind=args.surrogate, k=args.k))
     save_lbq(refined, args.out, fp16_scales=args.fp16_scales)
     _write_text(args.curve, qat.curve_to_csv(curve))
     ratio = curve[-1].loss / curve[0].loss if curve[0].loss else float("nan")

@@ -72,7 +72,8 @@ def init_path(w, r: int, svd: str = "exact",
         g=v_fit.left,
         ell=u_fit.right * v_fit.right,
     )
-    w_res = w - path_effective_weight(path)
+    w_res = path_effective_weight(path)
+    np.subtract(w, w_res, out=w_res)
     err = float(np.linalg.norm(w_res))
     report = InitReport(
         frob_err_primary=err,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -194,16 +195,19 @@ def _single_thread_limit():
         return nullcontext()
 
 
-def _median_ns(fn, repeats: int, warmup: int) -> int:
+def _round_robin_medians(fns, repeats: int, warmup: int) -> list[int]:
+    """Median wall time in ns of each of *fns*. Every round calls each of
+    them once, in turn, so that a slowdown of the host hits all alike."""
     for _ in range(warmup):
-        fn()
-    samples = []
+        for fn in fns:
+            fn()
+    samples = [[] for _ in fns]
     for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        fn()
-        samples.append(time.perf_counter_ns() - t0)
-    samples.sort()
-    return samples[len(samples) // 2]
+        for fn, times in zip(fns, samples):
+            t0 = time.perf_counter_ns()
+            fn()
+            times.append(time.perf_counter_ns() - t0)
+    return [sorted(times)[len(times) // 2] for times in samples]
 
 
 def _random_factor(rng, rows: int, cols: int) -> bitpack.BinaryFactor:
@@ -214,36 +218,31 @@ def _random_factor(rng, rows: int, cols: int) -> bitpack.BinaryFactor:
 def gemv_bench(d_out: int, d_in: int, ranks: Sequence[int],
                repeats: int = 30, warmup: int = 5, seed: int = 0) -> BenchResult:
     """Time the primary-path packed forward against a dense float32 GEMV
-    reference at each latent rank."""
+    reference at each latent rank, sampling the reference and the ranks
+    round-robin."""
     rng = seeded_rng(seed)
     x = rng.standard_normal((1, d_in))
     g = np.abs(rng.standard_normal(d_in)) + 0.1
     h = np.abs(rng.standard_normal(d_out)) + 0.1
 
-    rows = []
     with _single_thread_limit():
         w32 = rng.standard_normal((d_out, d_in)).astype(np.float32)
         x32 = x[0].astype(np.float32)
-        dense_ns = _median_ns(lambda: w32 @ x32, repeats, warmup)
-        del w32
-        rows.append((d_out, d_in, "dense-f32", 0, dense_ns, repeats, 1.0))
-
+        layers = []
         for r in ranks:
             vf = _random_factor(rng, d_in, r)
             uf = _random_factor(rng, d_out, r)
             ell = np.abs(rng.standard_normal(r)) + 0.1
-            lay = LittleBitLayer(d_out=d_out, d_in=d_in, primary=QuantPath(
-                u_sign=uf, v_sign=vf, h=h, g=g, ell=ell))
-            rows.append((d_out, d_in, "packed-" + bitpack.kernel_backend(), r,
-                         _median_ns(lambda: forward(lay, x), repeats, warmup),
-                         repeats, 0.0))
-            del vf, uf, lay
+            layers.append(LittleBitLayer(d_out=d_out, d_in=d_in, primary=QuantPath(
+                u_sign=uf, v_sign=vf, h=h, g=g, ell=ell)))
+        fns = [lambda: w32 @ x32] + [partial(forward, lay, x) for lay in layers]
+        dense_ns, *packed_ns = _round_robin_medians(fns, repeats, warmup)
 
-    final = []
-    for row in rows:
-        speedup = dense_ns / row[4] if row[2] != "dense-f32" else 1.0
-        final.append(row[:6] + (float(speedup),))
+    backend = "packed-" + bitpack.kernel_backend()
+    rows = [(d_out, d_in, "dense-f32", 0, dense_ns, repeats, 1.0)]
+    rows += [(d_out, d_in, backend, r, ns, repeats, dense_ns / ns)
+             for r, ns in zip(ranks, packed_ns)]
     return BenchResult(
         columns=("d_out", "d_in", "backend", "rank", "median_ns",
                  "iterations", "speedup_vs_dense"),
-        rows=tuple(final))
+        rows=tuple(rows))

@@ -158,17 +158,23 @@ def make_trainable(layer: LittleBitLayer,
 # ---------------------------------------------------------------------------
 
 def _binarize(latent: np.ndarray, spec: SurrogateSpec, smooth: bool):
-    """(factor, local derivative) for a latent matrix.
+    """The factor a latent matrix feeds the forward pass.
 
-    Training mode: factor = sign(latent) with sign(0) -> +1, derivative
-    per the surrogate spec. Smooth mode replaces sign by tanh(k*latent)
-    itself, yielding the fully differentiable network used to validate
-    the chain rule against finite differences.
+    Training mode: sign(latent) with sign(0) -> +1. Smooth mode replaces
+    sign by tanh(k*latent) itself, yielding the fully differentiable
+    network used to validate the chain rule against finite differences.
     """
+    return np.tanh(spec.k * latent) if smooth else bitpack.sign(latent)
+
+
+def _local_derivative(latent: np.ndarray, factor: np.ndarray,
+                      spec: SurrogateSpec, smooth: bool):
+    """d factor / d latent for the *factor* that :func:`_binarize` made of
+    *latent*: the surrogate per *spec* in training mode, the exact
+    derivative k * (1 - tanh(k*latent)^2) of the factor in smooth mode."""
     if smooth:
-        t = np.tanh(spec.k * latent)
-        return t, spec.k * (1.0 - t * t)
-    return bitpack.sign(latent), surrogate_backward(latent, spec)
+        return spec.k * (1.0 - factor * factor)
+    return surrogate_backward(latent, spec)
 
 
 def loss_and_grads(tl: TrainableLayer, x, y_teacher, spec: SurrogateSpec,
@@ -187,28 +193,32 @@ def loss_and_grads(tl: TrainableLayer, x, y_teacher, spec: SurrogateSpec,
     if y_teacher.shape != (x.shape[0], tl.d_out):
         raise ValueError("y_teacher shape does not match (seq, d_out)")
 
+    # Only the factors live through the dense phase; each surrogate
+    # derivative is made in the gradient loop, once, where it is used.
     factors = []
     w_total = None
     for p in tl.paths:
-        su, dsu = _binarize(p.u_latent, spec, smooth)
-        sv, dsv = _binarize(p.v_latent, spec, smooth)
+        su = _binarize(p.u_latent, spec, smooth)
+        sv = _binarize(p.v_latent, spec, smooth)
+        factors.append((su, sv))
         w_path = scaled_product(p.h, su, p.ell, sv, p.g)
-        factors.append((su, dsu, sv, dsv))
         if w_total is None:
             w_total = w_path
         else:
             w_total += w_path
+        del w_path
 
     # overflow here means divergence; the caller's finite check handles it
     with np.errstate(over="ignore"):
         diff = x @ w_total.T - y_teacher
+        del w_total
         loss = float(np.mean(diff * diff))
         dz = (2.0 / diff.size) * diff                # dL/dy, (batch, d_out)
 
     # Factored chain rule: every product below is batch x (d_out + d_in) x r.
     grads = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for p, (su, dsu, sv, dsv) in zip(tl.paths, factors):
+        for p, (su, sv) in zip(tl.paths, factors):
             xg = x * p.g
             dzh = dz * p.h
             t = xg @ sv                              # (batch, r)
@@ -216,9 +226,11 @@ def loss_and_grads(tl: TrainableLayer, x, y_teacher, spec: SurrogateSpec,
             dh = np.sum(dz * ((t * p.ell) @ su.T), axis=0)
             dg = np.sum(x * ((q * p.ell) @ sv.T), axis=0)
             d_su = (dzh.T @ t) * p.ell
+            d_su *= _local_derivative(p.u_latent, su, spec, smooth)
             d_sv = (xg.T @ q) * p.ell
+            d_sv *= _local_derivative(p.v_latent, sv, spec, smooth)
             dell = np.sum(q * t, axis=0)
-            grads.append(TrainablePath(u_latent=d_su * dsu, v_latent=d_sv * dsv,
+            grads.append(TrainablePath(u_latent=d_su, v_latent=d_sv,
                                        h=dh, g=dg, ell=dell))
     return loss, grads
 
@@ -254,6 +266,9 @@ def train(layer0: LittleBitLayer, teacher_w, cfg: TrainConfig,
     batches = [rng.standard_normal((cfg.batch, layer0.d_in))
                for _ in range(cfg.calib_batches)]
     targets = [x @ teacher_w.T for x in batches]
+    # the targets are all that training needs of the teacher; when the
+    # caller passed its only reference, this frees the dense matrix
+    del teacher_w
 
     params = [p for path in tl.paths for p in path.params()]
     m = [np.zeros_like(p) for p in params]
@@ -273,6 +288,8 @@ def train(layer0: LittleBitLayer, teacher_w, cfg: TrainConfig,
             mhat = m[j] / (1 - ADAM_BETA1 ** t)
             vhat = v[j] / (1 - ADAM_BETA2 ** t)
             p -= lr_t * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        # not alive through the next step's dense phase
+        del grads, flat
     return tl.snapshot(), curve
 
 

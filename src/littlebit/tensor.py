@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import os
+import secrets
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,14 +234,23 @@ def rank1_nonneg(a, max_iter: int = 200, tol: float = 1e-12) -> Rank1Result:
 def atomic_write(path, *chunks) -> None:
     """Write *chunks* (bytes or C-contiguous arrays, in order) to *path*
     via a temp file and atomic rename, so an interrupted writer never
-    leaves a partial file at the target.
+    leaves a partial file at the target. The file's mode is 0666 less the
+    umask.
 
     The temp file is fsynced before the rename and the directory after it,
     so the new file survives a machine crash, not only a process crash.
     """
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    # created with mode 0666 so that the umask decides the final mode, as
+    # for any file a program creates (tempfile.mkstemp would force 0600)
+    while True:
+        tmp = os.path.join(d, f".tmp-{secrets.token_hex(8)}~")
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as f:
             for chunk in chunks:
@@ -265,6 +274,9 @@ def atomic_write(path, *chunks) -> None:
 def read_header(f, header: struct.Struct, magic: bytes, path) -> list:
     """The fields after *magic* of the fixed *header* that starts the open
     file *f*."""
+    if not f.seekable():
+        # a pipe or FIFO has no size to check the header against
+        raise FormatError(f"{path}: not a regular file")
     raw = f.read(header.size)
     if len(raw) < header.size:
         raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")

@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -134,6 +135,23 @@ class TestQuantize:
                         "--out", str(out)]) == 2
             assert not out.exists()
             assert "dimensions" in capsys.readouterr().err
+
+    def test_fifo_input_exit_2_no_output(self, tmp_path, capsys):
+        # the size check needs a regular file; the FIFO already holds a
+        # whole LBM1 file, written through a read-write descriptor so
+        # that opening it to read does not block
+        fifo = tmp_path / "w.fifo"
+        os.mkfifo(fifo)
+        fd = os.open(fifo, os.O_RDWR)
+        try:
+            os.write(fd, struct.pack("<4sII", b"LBM1", 2, 2) + bytes(16))
+            out = tmp_path / "w.lbq"
+            assert run(["quantize", "--in", str(fifo), "--rank", "1",
+                        "--out", str(out)]) == 2
+        finally:
+            os.close(fd)
+        assert "not a regular file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_exit_2(self, tmp_path):
         assert run(["quantize", "--in", str(tmp_path / "none.lbm"),
@@ -366,6 +384,46 @@ class TestTrain:
             lines = f.read().splitlines()
         finals = {row.split(",")[0]: float(row.split(",")[2]) for row in lines[1:]}
         assert finals["smoothsign"] <= finals["ste"]
+
+
+class TestPeakMemory:
+    """tracemalloc peaks of whole commands on a layer with a residual
+    path, as multiples of the dense float64 weight. Each dense temporary
+    is freed after its last use, the teacher as soon as train has its
+    calibration targets."""
+
+    SHAPE = (768, 512)
+    WEIGHT_BYTES = 768 * 512 * 8
+
+    @staticmethod
+    def traced_peak(argv):
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture
+    def ref(self, rng, tmp_path):
+        p = tmp_path / "w.lbm"
+        tensor.save_matrix(rng.standard_normal(self.SHAPE), p)
+        return p
+
+    def test_quantize(self, ref, tmp_path):
+        peak = self.traced_peak(["quantize", "--in", str(ref), "--rank", "16",
+                                 "--out", str(tmp_path / "w.lbq")])
+        assert peak < 3.6 * self.WEIGHT_BYTES
+
+    def test_train(self, ref, tmp_path):
+        lbq = tmp_path / "w.lbq"
+        assert run(["quantize", "--in", str(ref), "--rank", "16",
+                    "--out", str(lbq)]) == 0
+        peak = self.traced_peak(["train", "--lbq", str(lbq), "--ref", str(ref),
+                                 "--steps", "3", "--lr", "1e-3", "--seed", "0",
+                                 "--out", str(tmp_path / "t.lbq"),
+                                 "--curve", str(tmp_path / "c.csv")])
+        assert peak < 3.2 * self.WEIGHT_BYTES
 
 
 class TestUsageAndAtomicity:

@@ -403,6 +403,14 @@ class TestAtomicWrite:
             tensor.atomic_write(tmp_path / "out.bin", b"payload")
         assert os.listdir(tmp_path) == []
 
+    def test_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            tensor.atomic_write(tmp_path / "out.bin", b"payload")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "out.bin").stat().st_mode) == 0o640
+
 
 class TestLbm1:
     def test_roundtrip_identical_bytes(self, rng, tmp_path):
